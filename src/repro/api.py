@@ -80,8 +80,8 @@ def score_tables(pipeline, left_table, right_table, num_workers: int = 0,
     """Stream scored decisions for two raw tables — see :mod:`repro.serve`.
 
     ``pipeline`` is a live :class:`~repro.pipeline.ERPipeline` or a snapshot
-    directory; ``num_workers >= 1`` shards scoring over a warm-model worker
-    pool (directory input required).  Yields one
+    directory; ``num_workers >= 1`` fans each window's batches out over
+    that many worker threads.  Yields one
     :class:`~repro.pipeline.MatchDecision` per blocked candidate pair.
     """
     from .serve import score_tables as _score_tables

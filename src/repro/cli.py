@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--pairs", type=int, default=10000,
                              help="candidate pairs to score (default 10000)")
     serve_bench.add_argument("--workers", type=int, default=4,
-                             help="parallel worker count (default 4)")
+                             help="parallel engine worker threads "
+                                  "(default 4)")
     serve_bench.add_argument("--batch-size", type=int, default=64,
                              help="reference-path batch size (default 64)")
     serve_bench.add_argument("--output", default="BENCH_serve.json",
@@ -121,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="where to persist the bench pipeline "
                                   "snapshot (default .cache/serve_bench_pipeline)")
     serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--inject-fault", default=None,
-                             choices=("worker_crash", "hang", "garbage"),
-                             help="run an extra parallel pass with one "
-                                  "deterministic injected fault and record "
-                                  "the recovery overhead")
     serve_bench.add_argument("--cache", dest="cache", action="store_true",
                              default=True,
                              help="race the content-addressed score cache "
@@ -135,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="skip the score-cache passes")
     serve_bench.add_argument("--cache-dir", default=None,
                              help="exercise the persistent cache tier: "
-                                  "flush cold-pass scores to this directory "
-                                  "and serve the warm pass from a fresh "
-                                  "cache over the same shard")
+                                  "empty this directory, flush cold-pass "
+                                  "scores to it and serve the warm pass "
+                                  "from a fresh cache over the same shard")
     serve_bench.add_argument("--daemon", action="store_true",
                              help="also run the online-daemon pass: N "
                                   "concurrent TCP clients against a live "
@@ -185,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks an ephemeral port "
                             "(default 7461)")
     serve.add_argument("--workers", type=int, default=0,
-                       help="worker processes per published engine; 0 = "
+                       help="worker threads per published engine; 0 = "
                             "in-process sequential scoring (default 0)")
     serve.add_argument("--max-queued-pairs", type=int, default=4096,
                        help="admission high-water mark in pairs; past it "
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--epochs", type=int, default=6)
     scenarios.add_argument("--seed", type=int, default=0)
     scenarios.add_argument("--workers", type=int, default=4,
-                           help="parallel-scorer worker count (default 4)")
+                           help="parallel-scorer worker threads (default 4)")
     scenarios.add_argument("--output", default="BENCH_scenarios.json",
                            help="report path (default BENCH_scenarios.json)")
     scenarios.add_argument("--pipeline-dir", default=None,
@@ -319,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     e2e_bench.add_argument("--records", type=int, default=1_000_000,
                            help="corpus rows to resolve (default 1000000)")
     e2e_bench.add_argument("--workers", type=int, default=4,
-                           help="scoring workers; 0 = in-process sequential "
-                                "(default 4)")
+                           help="scoring worker threads; 0 = in-process "
+                                "sequential (default 4)")
     e2e_bench.add_argument("--shard-size", type=int, default=65536,
                            help="left rows per blocker shard (default 65536)")
     e2e_bench.add_argument("--chunk-size", type=int, default=4096,
@@ -442,7 +438,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     report = run_serve_bench(num_pairs=args.pairs, num_workers=args.workers,
                              pipeline_dir=args.pipeline_dir,
                              output=args.output, batch_size=args.batch_size,
-                             seed=args.seed, inject_fault=args.inject_fault,
+                             seed=args.seed,
                              cache=args.cache, cache_dir=args.cache_dir,
                              daemon=args.daemon, num_clients=args.clients,
                              risk=args.risk, risk_band=args.risk_band,

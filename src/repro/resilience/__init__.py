@@ -1,37 +1,29 @@
 """repro.resilience — the fault-tolerant execution substrate.
 
-Production serving and long training runs share one design concern:
-components fail — workers segfault, batches hang, losses go NaN — and the
-system must detect and recover rather than deadlock or persist garbage.
-This package centralises that layer:
+Long training runs and the risk loop share one design concern: components
+fail — losses go NaN, a re-adaptation worker dies mid-promotion — and the
+system must detect and recover rather than persist garbage.  This package
+centralises that layer:
 
-* :class:`SupervisedPool` — a supervised worker pool (per-batch deadlines,
-  deterministic capped-backoff retries, worker respawn, poison-batch
-  quarantine, graceful degradation to in-process execution) that
-  :class:`repro.serve.engine.ParallelScorer` runs on;
 * :class:`GuardRail` — the per-step training guard (finiteness/divergence
   checks, checksummed snapshot rollback, LR halving, bounded retries with a
   structured :class:`TrainingDiverged`) wired into every trainer in
   :mod:`repro.train.loops`;
 * :class:`ChaosConfig` / :class:`Fault` — deterministic fault injection for
-  the ``pytest -m chaos`` tier and ``serve-bench --inject-fault``;
-* :class:`Events` — counters for every recovery action, surfaced through
-  :class:`repro.serve.metrics.ServeMetrics` and ``BENCH_serve.json``;
-* :class:`BackoffPolicy` / :class:`RetryPolicy` — the retry schedule knobs.
+  the ``pytest -m chaos`` and ``pytest -m risk`` tiers;
+* :class:`Events` — counters for every recovery action;
+* :class:`BackoffPolicy` — the deterministic retry schedule the daemon
+  client uses.
 
-See ``DESIGN.md`` §8 ("Resilience") for the supervision-tree diagram and
-policy semantics.
+See ``DESIGN.md`` §8 ("Resilience") for policy semantics.
 """
 
 from .backoff import BackoffPolicy
-from .chaos import (CHAOS_ENV, KINDS, RISK_KINDS, ChaosConfig, Fault,
-                    merge as merge_chaos)
+from .chaos import KINDS, RISK_KINDS, ChaosConfig, Fault
 from .events import Events
 from .guardrail import GuardRail, TrainingDiverged
-from .supervisor import PoolDied, RetryPolicy, SupervisedPool
 
 __all__ = [
-    "BackoffPolicy", "RetryPolicy", "SupervisedPool", "PoolDied",
-    "ChaosConfig", "Fault", "CHAOS_ENV", "KINDS", "RISK_KINDS", "merge_chaos",
+    "BackoffPolicy", "ChaosConfig", "Fault", "KINDS", "RISK_KINDS",
     "Events", "GuardRail", "TrainingDiverged",
 ]

@@ -1,39 +1,26 @@
 """Deterministic fault injection for the resilience layer.
 
-A :class:`ChaosConfig` is a declarative plan of faults — "worker 1 crashes
-on batch 2", "any worker hangs on batch 5, once", "treat the loss at
-training step 3 as NaN" — evaluated by pure predicates on
-``(worker_id, batch, attempt)`` or the global training step.  Nothing is
-random and nothing reads the clock, so a chaos run is exactly as
-reproducible as a clean run; the ``pytest -m chaos`` tier leans on that to
-assert final decisions are **bit-identical** with and without faults.
-
-Faults can come from three places:
-
-* constructor — ``ChaosConfig((Fault("crash", batch=2),))``;
-* environment — ``REPRO_CHAOS="crash:batch=2;hang:batch=5,worker=1"``
-  (picked up automatically by :class:`repro.serve.engine.ParallelScorer`);
-* CLI — ``python -m repro serve-bench --inject-fault worker_crash``.
+A :class:`ChaosConfig` is a declarative plan of faults — "treat the loss
+at training step 3 as NaN", "crash the re-adaptation worker between
+writing a candidate and promoting it, once" — evaluated by pure
+predicates on the global training step or the risk-loop cycle.  Nothing
+is random and nothing reads the clock, so a chaos run is exactly as
+reproducible as a clean run; the ``pytest -m chaos`` and ``pytest -m
+risk`` tiers lean on that to assert recovery ends where a fault-free run
+does.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-#: Environment variable consulted by :meth:`ChaosConfig.from_env`.
-CHAOS_ENV = "REPRO_CHAOS"
-
-#: Worker-side fault kinds (batch-triggered) and the training-side kind.
-SERVING_KINDS = ("crash", "hang", "garbage")
-TRAINING_KINDS = ("nan_loss",)
 #: Risk-loop fault kinds: the re-adaptation worker dies between writing a
 #: candidate and publishing/acking (``promote_crash``), or a review-queue
 #: segment is bit-flipped on disk (``corrupt_segment``).  Diverging
 #: re-adaptation reuses ``nan_loss`` — the GuardRail path is identical.
 RISK_KINDS = ("promote_crash", "corrupt_segment")
-KINDS = SERVING_KINDS + TRAINING_KINDS + RISK_KINDS
+KINDS = ("nan_loss",) + RISK_KINDS
 
 
 @dataclass(frozen=True)
@@ -43,36 +30,21 @@ class Fault:
     Parameters
     ----------
     kind:
-        ``crash`` (the worker calls ``os._exit``), ``hang`` (the worker
-        sleeps past any reasonable deadline), ``garbage`` (the worker
-        returns NaN-filled output), or ``nan_loss`` (the training guard
-        observes a NaN loss at ``step``).
-    batch:
-        Scheduler sequence number the fault triggers on; ``None`` matches
-        every batch.
-    worker:
-        Worker slot the fault triggers on; ``None`` matches any worker.
-        Slots are stable across respawns, so "worker 1" names the slot,
-        not a particular pid.
+        ``nan_loss`` (the training guard observes a NaN loss at ``step``)
+        or one of :data:`RISK_KINDS`.
     step:
-        Global training step (``nan_loss`` only); ``None`` matches every
-        step — useful to prove the guard's bounded-retry exhaustion path.
+        Global training step (``nan_loss``) or re-adaptation cycle (risk
+        kinds); ``None`` matches every step — useful to prove the guard's
+        bounded-retry exhaustion path.
     times:
-        The fault fires only while ``attempt < times``, so a retried batch
-        escapes a ``times=1`` fault deterministically regardless of which
-        worker re-runs it.  ``None`` means "always" — that is what makes a
-        batch *poison* and forces quarantine.
-    hang_seconds:
-        Sleep duration for ``hang`` faults (the supervisor is expected to
-        kill the worker long before this elapses).
+        A risk fault fires only while its site has fired fewer than
+        ``times`` times, so a restarted worker escapes a ``times=1`` crash
+        deterministically.  ``None`` means "always".
     """
 
     kind: str
-    batch: Optional[int] = None
-    worker: Optional[int] = None
     step: Optional[int] = None
     times: Optional[int] = 1
-    hang_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -80,8 +52,6 @@ class Fault:
                 f"unknown fault kind {self.kind!r} (expected one of {KINDS})")
         if self.times is not None and self.times < 1:
             raise ValueError("times must be >= 1 or None (always)")
-        if self.hang_seconds < 0:
-            raise ValueError("hang_seconds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -92,22 +62,6 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
-
-    # -- serving-side ------------------------------------------------------ #
-    def fault_for(self, worker_id: int, batch: int,
-                  attempt: int) -> Optional[Fault]:
-        """The first serving fault matching this (worker, batch, attempt)."""
-        for fault in self.faults:
-            if fault.kind not in SERVING_KINDS:
-                continue
-            if fault.batch is not None and fault.batch != batch:
-                continue
-            if fault.worker is not None and fault.worker != worker_id:
-                continue
-            if fault.times is not None and attempt >= fault.times:
-                continue
-            return fault
-        return None
 
     # -- training-side ----------------------------------------------------- #
     def nan_loss_at(self, step: int) -> bool:
@@ -141,56 +95,3 @@ class ChaosConfig:
                 continue
             return True
         return False
-
-    # -- parsing ----------------------------------------------------------- #
-    @classmethod
-    def from_spec(cls, spec: str) -> "ChaosConfig":
-        """Parse ``"crash:batch=2;hang:batch=5,worker=1,times=2"``.
-
-        Each ``;``-separated clause is ``kind[:key=value,...]``; integer
-        fields accept ``always`` (and ``inf``) for ``times=None``.
-        """
-        faults = []
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            kind, __, arg_text = clause.partition(":")
-            kwargs = {}
-            for item in filter(None, (a.strip() for a in arg_text.split(","))):
-                key, sep, value = item.partition("=")
-                if not sep:
-                    raise ValueError(
-                        f"bad chaos clause {clause!r}: expected key=value, "
-                        f"got {item!r}")
-                key = key.strip()
-                value = value.strip()
-                if key == "hang_seconds":
-                    kwargs[key] = float(value)
-                elif key in ("batch", "worker", "step", "times"):
-                    kwargs[key] = (None if value.lower() in ("always", "inf",
-                                                             "none")
-                                   else int(value))
-                else:
-                    raise ValueError(
-                        f"bad chaos clause {clause!r}: unknown key {key!r}")
-            faults.append(Fault(kind.strip(), **kwargs))
-        return cls(tuple(faults))
-
-    @classmethod
-    def from_env(cls, env_var: str = CHAOS_ENV,
-                 environ: Optional[dict] = None) -> Optional["ChaosConfig"]:
-        """The plan in ``$REPRO_CHAOS``, or ``None`` when unset/empty."""
-        spec = (environ if environ is not None else os.environ).get(env_var)
-        if not spec:
-            return None
-        return cls.from_spec(spec)
-
-
-def merge(configs: Sequence[Optional[ChaosConfig]]) -> Optional[ChaosConfig]:
-    """Concatenate several optional plans (``None`` entries are skipped)."""
-    faults: Tuple[Fault, ...] = ()
-    for config in configs:
-        if config is not None:
-            faults += config.faults
-    return ChaosConfig(faults) if faults else None

@@ -1,11 +1,9 @@
-"""Recovery-event counters shared by the serving and training guards.
+"""Recovery-event counters for the training guards.
 
-Every recovery action the resilience layer takes — a retried batch, a
-killed-and-respawned worker, a quarantined poison batch, a training
-rollback — increments exactly one counter here, so "did the system heal
-itself, and how often?" is a first-class observable.  The serving engines
-surface a per-run snapshot through :class:`repro.serve.metrics.ServeMetrics`
-(and therefore ``BENCH_serve.json``); the trainers attach their counters to
+Every recovery action the resilience layer takes — a training rollback, a
+learning-rate halving — increments exactly one counter here, so "did the
+run heal itself, and how often?" is a first-class observable.  The
+trainers attach their counters to
 :class:`repro.train.config.AdaptationResult`.
 
 Counters are migrated onto the telemetry registry: every live increment
@@ -13,10 +11,8 @@ Counters are migrated onto the telemetry registry: every live increment
 layer uses) is mirrored into the process-global
 :data:`repro.telemetry.REGISTRY` as ``resilience.<field>``, so one
 ``REGISTRY.snapshot()`` exports the cumulative recovery history of the
-process alongside the serve metrics — the single export path
-``serve-bench --telemetry`` embeds into ``BENCH_serve.json``.  Derived
-records (``copy()``, ``__add__``, ``__sub__`` deltas) never mirror;
-only actions that actually happened count once.
+process.  Derived records (``copy()``, ``__add__``, ``__sub__`` deltas)
+never mirror; only actions that actually happened count once.
 """
 
 from __future__ import annotations
@@ -29,33 +25,11 @@ from typing import Dict
 class Events:
     """Counters for every recovery path in :mod:`repro.resilience`.
 
-    Serving-side:
-
-    * ``retries`` — batch re-submissions after a failed/timed-out attempt;
-    * ``timeouts`` — batches whose worker blew the per-batch deadline;
-    * ``crashes`` — workers that died (segfault/OOM-kill/``os._exit``) while
-      holding a batch;
-    * ``garbage`` — worker results rejected by output validation;
-    * ``respawns`` — replacement workers spawned into a dead slot;
-    * ``quarantined`` — poison batches re-scored in-process after exhausting
-      their retry budget;
-    * ``pool_fallbacks`` — whole-pool deaths that degraded the engine to
-      sequential in-process scoring.
-
-    Training-side:
-
     * ``rollbacks`` — restorations of the last good snapshot after a
       non-finite or diverged step;
     * ``lr_halvings`` — learning-rate halvings applied on rollback.
     """
 
-    retries: int = 0
-    timeouts: int = 0
-    crashes: int = 0
-    garbage: int = 0
-    respawns: int = 0
-    quarantined: int = 0
-    pool_fallbacks: int = 0
     rollbacks: int = 0
     lr_halvings: int = 0
 

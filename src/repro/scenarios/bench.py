@@ -64,7 +64,6 @@ def _serve_streams(report: ScenarioReport, pipeline: ERPipeline,
     registry = ModelRegistry()
     registry.publish("default", directory)
     with ParallelScorer(directory, num_workers=num_workers) as parallel:
-        parallel.warm_up()
         with start_daemon_thread(registry, DaemonConfig(port=0)) as handle:
             host, port = handle.address
             with DaemonClient(host, port) as client:

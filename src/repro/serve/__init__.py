@@ -4,8 +4,8 @@ The production serving layer of the reproduction, in two tiers:
 
 * **Engines** — candidate pairs flow through a length-bucketing
   :class:`BatchScheduler` into either a single-process
-  :class:`SequentialScorer` or a multiprocess :class:`ParallelScorer`
-  (one warm model per worker), fronted by a content-addressed
+  :class:`SequentialScorer` or a thread-parallel :class:`ParallelScorer`
+  (one shared model, N worker threads), fronted by a content-addressed
   :class:`ScoreCache` and instrumented as :class:`ServeMetrics`.  Both
   implement the :class:`ScoreRequest` → :class:`ScoreResponse` contract.
 * **Daemon** — ``python -m repro serve`` hosts a :class:`ModelRegistry`

@@ -7,8 +7,8 @@ and races three engines over identical inputs:
    fixed-stride, full-``max_len``-padding batching (the pre-serve hot path);
 2. ``sequential-bucketed``  — :class:`SequentialScorer` with the
    length-bucketing :class:`BatchScheduler`;
-3. ``parallel``             — :class:`ParallelScorer` with a warm-model
-   worker pool.
+3. ``parallel``             — :class:`ParallelScorer` fanning batches out
+   over worker threads.
 
 Engines 2 and 3 share one scheduler configuration and must agree
 **bit-for-bit**; both must agree with the reference to within 1e-9 (the
@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import platform
+import shutil
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -35,7 +36,6 @@ from ..data import Entity, EntityPair
 from ..matcher import MlpMatcher
 from ..pipeline import ERPipeline
 from ..pretrain import fresh_copy, pretrained_lm
-from ..resilience import BackoffPolicy, ChaosConfig, Fault, RetryPolicy
 from ..telemetry import DEFAULT_TRACE_DIR, REGISTRY, TelemetrySession, span
 from .cache import ScoreCache
 from .engine import ParallelScorer, SequentialScorer
@@ -49,16 +49,6 @@ BENCH_LM = dict(dim=32, num_layers=1, num_heads=2, max_len=96,
 #: Share of the cache-pass workload resampled from already-seen pairs — the
 #: duplicate-heavy shape blocking emits across overlapping streaming windows.
 CACHE_DUPLICATE_FRACTION = 0.75
-
-#: ``--inject-fault`` plans: one deterministic fault on the first scheduled
-#: batch (batch 0 exists for any workload size — dedup can collapse a small
-#: duplicate-heavy run to a single batch), each exercising a different
-#: recovery path of the supervised pool.
-INJECTABLE_FAULTS = {
-    "worker_crash": Fault("crash", batch=0),
-    "hang": Fault("hang", batch=0, hang_seconds=30.0),
-    "garbage": Fault("garbage", batch=0),
-}
 
 _WORDS = ("acoustic", "baseline", "canonical", "digital", "electric",
           "fluent", "gradient", "harmonic", "ivory", "jasper", "kinetic",
@@ -134,6 +124,21 @@ def _timed_sequential(pipeline: ERPipeline, pairs: List[EntityPair],
     return scorer.score_pairs(pairs), scorer.last_metrics
 
 
+def _empty_cache_dir(directory: Path) -> None:
+    """Delete a score-cache directory, refusing one that holds anything
+    else (``--cache-dir .cache`` must not take the LM checkpoints along)."""
+    if not directory.exists():
+        return
+    foreign = [p.name for p in directory.iterdir()
+               if not (p.name.startswith("scores-")
+                       or p.name in ("MANIFEST.json", ".locks"))]
+    if foreign:
+        raise ValueError(
+            f"cache dir {directory} holds files that are not score-cache "
+            f"shards ({', '.join(sorted(foreign)[:3])}); refusing to empty it")
+    shutil.rmtree(directory)
+
+
 def _run_cache_passes(pipeline: ERPipeline, pipeline_dir: Path,
                       num_pairs: int, num_workers: int, seed: int,
                       cache_dir: Optional[Union[str, Path]]) -> Dict:
@@ -141,11 +146,13 @@ def _run_cache_passes(pipeline: ERPipeline, pipeline_dir: Path,
 
     Correctness gates every number: all three cached decision lists
     (sequential cold, sequential warm, parallel warm) must be bit-identical
-    to the uncached run, and the warm hit rate must clear 0.9 — a cache that
-    changes a decision or barely hits must never report a speedup.  With
-    ``cache_dir`` set, the cold pass is flushed to the persistent tier and
-    the warm pass starts from a **fresh** :class:`ScoreCache` instance, so
-    the hits it reports are genuinely served by the on-disk shard.
+    to the uncached run, the cold pass must miss, and the warm hit rate
+    must clear 0.9 — a cache that changes a decision or barely hits must
+    never report a speedup.  With ``cache_dir`` set, the directory is
+    emptied first (a shard left by an earlier run would turn the cold pass
+    warm), the cold pass is flushed to the persistent tier, and the warm
+    pass starts from a **fresh** :class:`ScoreCache` instance, so the hits
+    it reports are genuinely served by the on-disk shard.
     """
     dup_pairs = synthetic_candidates(
         num_pairs, seed=seed + 1,
@@ -154,11 +161,15 @@ def _run_cache_passes(pipeline: ERPipeline, pipeline_dir: Path,
         pipeline, dup_pairs, None)
 
     store_dir = Path(cache_dir) if cache_dir is not None else None
+    if store_dir is not None:
+        _empty_cache_dir(store_dir)
     cold_cache = ScoreCache(directory=store_dir)
     cold_decisions, cold_metrics = _timed_sequential(
         pipeline, dup_pairs, cold_cache)
     assert cold_decisions == uncached_decisions, \
         "cold cached decisions deviate bit-wise from the uncached run"
+    assert cold_metrics.cache["misses"] > 0, \
+        "the cold cache pass never missed: it did not start cold"
 
     if store_dir is not None:
         cold_cache.flush()
@@ -173,8 +184,8 @@ def _run_cache_passes(pipeline: ERPipeline, pipeline_dir: Path,
     assert warm_hit_rate >= 0.9, \
         f"warm hit rate {warm_hit_rate:.3f} < 0.9 on duplicate-heavy traffic"
 
-    # Same warm cache through the parallel engine: the pool must agree
-    # bit-for-bit too (and, fully warm, never even spins up).
+    # Same warm cache through the parallel engine: it must agree
+    # bit-for-bit too (and, fully warm, never starts a thread).
     with ParallelScorer(pipeline_dir, num_workers=num_workers,
                         cache=warm_cache) as scorer:
         parallel_decisions = scorer.score_pairs(dup_pairs)
@@ -304,11 +315,10 @@ def _run_compiled_pass(pipeline: ERPipeline, pipeline_dir: Path,
     shapes = ["x".join(str(d) for d in shape)
               for shape in sequential.compiled.compiled_shapes]
 
-    # Parallel: every worker records its own programs; decisions must be
-    # bit-identical to the compiled sequential engine.
+    # Parallel: every worker thread records its own programs; decisions
+    # must be bit-identical to the compiled sequential engine.
     with ParallelScorer(pipeline_dir, num_workers=num_workers,
                         compiled=True) as scorer:
-        scorer.warm_up()
         parallel_decisions = scorer.score_pairs(pairs)
         parallel_metrics = scorer.last_metrics
     assert parallel_decisions == replay_decisions, \
@@ -590,7 +600,6 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
                     output: Union[str, Path] = "BENCH_serve.json",
                     batch_size: int = 64, seed: int = 0,
                     lm_kwargs: Optional[dict] = None,
-                    inject_fault: Optional[str] = None,
                     cache: bool = True,
                     cache_dir: Optional[Union[str, Path]] = None,
                     daemon: bool = False, num_clients: int = 8,
@@ -607,18 +616,15 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
     other or from the sequential reference — a wrong fast path must never
     report a number.
 
-    With ``inject_fault`` (one of :data:`INJECTABLE_FAULTS`), a fourth pass
-    runs the parallel engine under a deterministic injected fault and records
-    the recovery overhead; its decisions must still be bit-identical.
-
     With ``cache=True`` (the default) an extra set of passes races the
     content-addressed :class:`ScoreCache` on a duplicate-heavy workload —
     uncached vs cold-cached vs warm-cached, sequential and parallel — and
     records hit rates and warm-vs-cold speedup under the report's
     ``"cache"`` key.  ``cache_dir`` additionally exercises the persistent
-    tier: the warm pass re-opens the flushed shard from a fresh cache
-    instance.  All cached decision lists are asserted bit-identical to the
-    uncached run before any number is reported.
+    tier: the directory is emptied, the cold pass flushed to it, and the
+    warm pass re-opens the shard from a fresh cache instance.  All cached
+    decision lists are asserted bit-identical to the uncached run before
+    any number is reported.
 
     With ``daemon=True`` a final pass starts a live ``repro serve`` daemon
     and drives it with ``num_clients`` concurrent TCP clients, hot-swapping
@@ -648,14 +654,10 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
     :class:`repro.telemetry.TelemetrySession`: every engine's spans are
     exported to ``<trace_dir>/serve_bench_<pairs>x<workers>.trace.jsonl``
     and the report gains a ``"telemetry"`` section embedding the registry
-    snapshot (serve counters/histograms plus any ``resilience.*`` recovery
-    counters the run produced) and the trace path.
+    snapshot (serve counters and histograms) and the trace path.
     """
     if num_pairs <= 0:
         raise ValueError("num_pairs must be positive")
-    if inject_fault is not None and inject_fault not in INJECTABLE_FAULTS:
-        raise ValueError(f"unknown fault {inject_fault!r}; "
-                         f"choose from {sorted(INJECTABLE_FAULTS)}")
     pipeline_dir = Path(pipeline_dir or Path(".cache") / "serve_bench_pipeline")
     build_bench_pipeline(pipeline_dir, seed=seed, lm_kwargs=lm_kwargs)
     pipeline = ERPipeline.load(pipeline_dir)
@@ -675,10 +677,8 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
         sequential = SequentialScorer(pipeline)
         sequential_decisions = sequential.score_pairs(pairs)
 
-        # 3. parallel engine, same scheduler configuration (pool spin-up
-        #    excluded from scoring wall time by warming the pool first)
+        # 3. parallel engine, same scheduler configuration
         with ParallelScorer(pipeline_dir, num_workers=num_workers) as scorer:
-            scorer.warm_up()
             parallel_decisions = scorer.score_pairs(pairs)
             parallel_metrics = scorer.last_metrics
 
@@ -698,42 +698,9 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
         metrics = [reference_metrics, sequential.last_metrics,
                    parallel_metrics]
 
-        # 4. optional chaos pass: same workload, one injected fault.  Recovery
-        #    must be invisible in the decisions — only the clock may notice.
-        fault_record = None
-        if inject_fault is not None:
-            fault = INJECTABLE_FAULTS[inject_fault]
-            # Hangs are detected by the batch deadline, so tighten it; other
-            # faults surface on their own.  Retry instantly — the backoff
-            # pause would otherwise dominate the measured recovery overhead.
-            timeout = 2.0 if fault.kind == "hang" else 30.0
-            policy = RetryPolicy(batch_timeout=timeout,
-                                 backoff=BackoffPolicy.instant())
-            with ParallelScorer(pipeline_dir, num_workers=num_workers,
-                                retry=policy,
-                                chaos=ChaosConfig((fault,))) as scorer:
-                scorer.warm_up()
-                faulted_decisions = scorer.score_pairs(pairs)
-                faulted_metrics = scorer.last_metrics
-            assert faulted_decisions == sequential_decisions, \
-                f"decisions changed under injected fault {inject_fault!r}"
-            faulted_metrics = dataclasses.replace(faulted_metrics,
-                                                  engine="parallel-faulted")
-            metrics.append(faulted_metrics)
-            clean_pps = parallel_metrics.pairs_per_second
-            fault_record = {
-                "fault": inject_fault,
-                "bit_identical_to_sequential": True,
-                "events": {k: v for k, v in faulted_metrics.events.items()
-                           if v},
-                "recovery_overhead": (
-                    clean_pps / faulted_metrics.pairs_per_second - 1.0
-                    if faulted_metrics.pairs_per_second else 0.0),
-            }
-
-        # 4b. optional compiled pass: trace-and-replay vs the tape across
-        #     sequential, parallel, and a hot-swapped daemon — see
-        #     _run_compiled_pass.
+        # 4. optional compiled pass: trace-and-replay vs the tape across
+        #    sequential, parallel, and a hot-swapped daemon — see
+        #    _run_compiled_pass.
         compiled_record = None
         if compiled:
             compiled_result = _run_compiled_pass(
@@ -792,8 +759,6 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
         "max_abs_diff_vs_reference": max_diff,
         "engines": engines,
     }
-    if fault_record is not None:
-        report["injected_fault"] = fault_record
     if compiled_record is not None:
         report["compiled"] = compiled_record
     if cache_record is not None:
@@ -822,13 +787,6 @@ def format_report(report: Dict) -> str:
             f"p95 {record['p95_batch_seconds'] * 1e3:6.1f} ms  "
             f"util {record['worker_utilization'] * 100:5.1f}%  "
             f"speedup {record['speedup_vs_reference']:.2f}x")
-    fault = report.get("injected_fault")
-    if fault:
-        events = ", ".join(f"{k}={v}" for k, v in sorted(fault["events"].items()))
-        lines.append(
-            f"  injected fault {fault['fault']!r}: decisions bit-identical, "
-            f"recovery overhead {fault['recovery_overhead'] * 100:.1f}%  "
-            f"[{events or 'no events'}]")
     comp = report.get("compiled")
     if comp:
         programs = comp["programs"]

@@ -11,8 +11,8 @@ matcher probabilities safely memoizable under the key
 :class:`ScoreCache` implements two tiers behind that key:
 
 * a bounded in-process **LRU** consulted by the engines before batch
-  formation, so only genuine misses are encoded into batches and reach the
-  worker pool;
+  formation, so only genuine misses are encoded into batches and reach a
+  forward pass;
 * an optional **persistent tier** stored through :mod:`repro.artifacts` —
   one atomic, checksummed ``.npz`` shard per snapshot digest, so a
   republished snapshot (new digest) can never serve stale probabilities:

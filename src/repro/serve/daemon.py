@@ -17,7 +17,7 @@ module is that shape:
   flushes when the merged size reaches ``max_batch_pairs`` /
   ``max_batch_tokens`` or when the oldest entry's ``flush_interval``
   deadline expires.  The whole flush rides the *existing* engine stack —
-  scheduler, score cache, supervised pool — in one scoring-lane round,
+  scheduler, score cache, worker threads — in one scoring-lane round,
   and each caller gets its own decisions back.  Within the flush every
   request keeps its own batch composition (BLAS picks GEMM kernels per
   matrix shape, so folding a request into a larger concatenated batch can

@@ -1,68 +1,65 @@
-"""Batched sequential and supervised-parallel scoring engines.
+"""Batched sequential and thread-parallel scoring engines.
 
-Two engines drive a persisted :class:`~repro.pipeline.ERPipeline` at
-throughput:
+Two engines drive an :class:`~repro.pipeline.ERPipeline` at throughput:
 
-* :class:`SequentialScorer` — one process, but batches formed by the
-  length-bucketing :class:`~repro.serve.scheduler.BatchScheduler` instead of
-  the legacy fixed-stride/full-padding loop;
-* :class:`ParallelScorer` — the same scheduler fanned out over a
-  :class:`~repro.resilience.SupervisedPool` of warm-model workers, each
-  loaded through :mod:`repro.artifacts` (per-artifact lock held during
-  load, manifest digest checked — and re-checked on every worker respawn —
-  so every worker provably scores with the same snapshot).
+* :class:`SequentialScorer` — batches formed by the length-bucketing
+  :class:`~repro.serve.scheduler.BatchScheduler` instead of the legacy
+  fixed-stride/full-padding loop, scored one after another in the calling
+  thread;
+* :class:`ParallelScorer` — the same scheduler, its batches fanned out over
+  a pool of worker threads that share one loaded pipeline.  numpy releases
+  the GIL inside the GEMMs and ufunc loops that dominate a forward pass, so
+  the threads overlap; ``no_grad`` and the span stack are context
+  variables, so every batch runs in a copy of its request's context.
 
 Batch formation is a pure function of the pair sequence and the scheduler
-configuration, so two engines given the same scheduler produce
-**bit-identical** :class:`~repro.pipeline.MatchDecision` lists regardless
-of worker count — and regardless of faults: a crashed, hung, or
-garbage-returning worker costs retries and respawns (counted in
-:class:`~repro.resilience.Events`), a poison batch is quarantined to an
-in-process re-score, and a fully dead pool degrades the run to sequential
-execution, but the decision list never changes.  Every run records
-:class:`~repro.serve.metrics.ServeMetrics` (pairs/sec, p50/p95 batch
-latency, worker utilization, recovery events).
+configuration, and a batch's forward pass does not depend on which thread
+runs it, so two engines given the same scheduler produce **bit-identical**
+:class:`~repro.pipeline.MatchDecision` lists regardless of worker count.  A
+batch whose forward pass raises fails its whole request with a
+``RuntimeError`` naming the batch's positions — no partial decision list is
+ever returned — and the engine serves the next request normally.  Every run
+records :class:`~repro.serve.metrics.ServeMetrics` (pairs/sec, p50/p95
+batch latency, worker utilization).
 
 Both engines optionally front their scheduler with a content-addressed
 :class:`~repro.serve.cache.ScoreCache` keyed by ``(manifest digest, token
 ids)``: hits are scattered straight into the decision vector, only misses
-are batched (and, for the parallel engine, shipped to the pool), and the
-probability vector is NaN-initialized with a full-coverage assertion after
-the scatter loop so a scheduling bug can never surface as an uninitialized
-"probability".
+are batched, and the probability vector is NaN-initialized with a
+full-coverage assertion after the scatter loop so a scheduling bug can
+never surface as an uninitialized "probability".
 
-Since the daemon PR both engines are :class:`RequestScorer` subclasses:
-their native unit of work is a :class:`~repro.serve.request.ScoreRequest`
-(``score_request`` for one, ``score_stream`` for an iterable), and
-``score_pairs`` is a compatibility wrapper that builds an anonymous
-request.  The shared request core owns the whole run shape — meter, cache
-lookup, scheduling, coverage assertion, per-run cache stats — and each
-engine only implements :meth:`RequestScorer._score_batches`, the part that
-actually moves floats.
+Both engines are :class:`RequestScorer` subclasses: their native unit of
+work is a :class:`~repro.serve.request.ScoreRequest` (``score_request`` for
+one, ``score_stream`` for an iterable), and ``score_pairs`` is a
+compatibility wrapper that builds an anonymous request.  The shared request
+core owns the whole run shape — meter, cache lookup, scheduling, coverage
+assertion, per-run cache stats — and each engine only implements
+:meth:`RequestScorer._score_batches`, the part that actually moves floats.
 """
 
 from __future__ import annotations
 
+import contextvars
 import logging
-import multiprocessing
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import telemetry
-from ..artifacts import ArtifactError, ArtifactStore
-from ..blocking import CandidateStream, OverlapBlocker
+from ..artifacts import ArtifactStore
+from ..blocking import CandidateStream
 from ..data import Entity, EntityPair
 from ..nn import no_grad
 from ..nn.compiled import CompiledInference
 from ..pipeline import ERPipeline, MatchDecision
-from ..resilience import ChaosConfig, Events, RetryPolicy, SupervisedPool
 from .cache import ScoreCache, pair_key
 from .metrics import ServeMetrics, ThroughputMeter
 from .request import ScoreRequest, ScoreResponse, as_request
-from .scheduler import BatchScheduler
+from .scheduler import BatchScheduler, ScheduledBatch
 
 logger = logging.getLogger("repro.serve")
 
@@ -70,18 +67,16 @@ logger = logging.getLogger("repro.serve")
 STREAM_WINDOW = 2048
 
 
-def _mp_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap warm start on POSIX), fall back to default."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platform
-        return multiprocessing.get_context()
-
-
 def _decisions(pairs: Sequence[EntityPair],
                probabilities: np.ndarray) -> List[MatchDecision]:
     return [MatchDecision(pair.left.entity_id, pair.right.entity_id, float(p))
             for pair, p in zip(pairs, probabilities)]
+
+
+def _preview(positions: np.ndarray) -> str:
+    """The first few request positions, for error messages."""
+    shown = ", ".join(str(i) for i in positions[:8].tolist())
+    return shown + (", ..." if positions.size > 8 else "")
 
 
 def _assert_covered(probabilities: np.ndarray, engine: str) -> None:
@@ -93,11 +88,9 @@ def _assert_covered(probabilities: np.ndarray, engine: str) -> None:
     """
     missing = np.flatnonzero(np.isnan(probabilities))
     if missing.size:
-        preview = ", ".join(str(i) for i in missing[:8].tolist())
-        suffix = ", ..." if missing.size > 8 else ""
         raise RuntimeError(
             f"{engine} scoring left {missing.size} of {probabilities.size} "
-            f"pairs unscored (positions {preview}{suffix})")
+            f"pairs unscored (positions {_preview(missing)})")
 
 
 def _cache_lookup(cache: ScoreCache, digest: str,
@@ -126,8 +119,25 @@ def _snapshot_calibrator(directory: Union[str, Path]):
     return calibrator
 
 
+def _load_pipeline(source: Union[ERPipeline, str, Path], router):
+    """``(pipeline, calibrator)`` for a live pipeline or a snapshot directory.
+
+    A live pipeline routes raw probabilities; a snapshot's persisted
+    calibrator is loaded only when a router will use it.
+    """
+    if isinstance(source, ERPipeline):
+        return source, None
+    calibrator = _snapshot_calibrator(source) if router is not None else None
+    return ERPipeline.load(source), calibrator
+
+
+def _scheduler(pipeline: ERPipeline, **scheduler_kwargs) -> BatchScheduler:
+    return BatchScheduler(pipeline.extractor.vocab,
+                          pipeline.extractor.max_len, **scheduler_kwargs)
+
+
 class RequestScorer:
-    """Shared request-stream core both engines subclass.
+    """Shared request-stream core of the scoring engines.
 
     Subclasses provide ``self.scheduler``, ``self.cache``, ``self._digest``
     plus the :meth:`_score_batches` hook, and inherit the whole run shape:
@@ -163,9 +173,8 @@ class RequestScorer:
     def _score_batches(self, encoded: Sequence[Sequence[int]],
                        positions: Optional[np.ndarray],
                        keys: List[str], probabilities: np.ndarray,
-                       meter: ThroughputMeter) -> Optional[Dict[str, int]]:
-        """Score every scheduled batch into ``probabilities``; returns the
-        run's recovery-event counters (engines without a pool return None)."""
+                       meter: ThroughputMeter) -> None:
+        """Score every scheduled batch into ``probabilities``."""
         raise NotImplementedError
 
     def _admit_scored(self, batch, probs: np.ndarray, keys: List[str],
@@ -182,7 +191,7 @@ class RequestScorer:
         meter = ThroughputMeter(self.engine_name,
                                 num_workers=self._meter_workers())
         pairs = request.pairs
-        if not pairs:  # zero work: never touch (or spin up) any pool
+        if not pairs:  # zero work: never touch (or start) any worker
             self.last_metrics = meter.finalize()
             return ScoreResponse(request_id=request.request_id,
                                  domain=request.domain, decisions=[],
@@ -199,12 +208,18 @@ class RequestScorer:
             encoded = [encoded[i] for i in positions]
         else:
             positions = None
-        events = self._score_batches(encoded, positions, keys, probabilities,
-                                     meter)
-        _assert_covered(probabilities, self.engine_name)
+        try:
+            self._score_batches(encoded, positions, keys, probabilities,
+                                meter)
+            _assert_covered(probabilities, self.engine_name)
+        except BaseException:
+            # Close the run's span so the next request on this context
+            # does not nest under a failed one; a failed run has no metrics.
+            meter.finalize()
+            raise
         cache_stats = (meter.cache_stats(len(self.cache))
                        if self.cache is not None else None)
-        self.last_metrics = meter.finalize(events=events, cache=cache_stats)
+        self.last_metrics = meter.finalize(cache=cache_stats)
         decisions = _decisions(pairs, probabilities)
         routing = None
         if self.router is not None:
@@ -232,7 +247,7 @@ class RequestScorer:
 
 
 class SequentialScorer(RequestScorer):
-    """Single-process scoring through the length-bucketing scheduler.
+    """In-process scoring through the length-bucketing scheduler.
 
     With ``cache`` set, every request consults the content-addressed
     :class:`~repro.serve.cache.ScoreCache` before batch formation — only
@@ -249,8 +264,7 @@ class SequentialScorer(RequestScorer):
                  cache: Optional[ScoreCache] = None,
                  router=None, calibrator=None, compiled: bool = False):
         self.pipeline = pipeline
-        self.scheduler = scheduler or BatchScheduler(
-            pipeline.extractor.vocab, pipeline.extractor.max_len)
+        self.scheduler = scheduler or _scheduler(pipeline)
         self.cache = cache
         self.router = router
         self.calibrator = calibrator
@@ -272,270 +286,54 @@ class SequentialScorer(RequestScorer):
                        cache: Optional[ScoreCache] = None,
                        router=None, compiled: bool = False,
                        **scheduler_kwargs) -> "SequentialScorer":
-        pipeline = ERPipeline.load(directory)
-        scheduler = BatchScheduler(pipeline.extractor.vocab,
-                                   pipeline.extractor.max_len,
-                                   **scheduler_kwargs)
-        calibrator = _snapshot_calibrator(directory) if router else None
-        return cls(pipeline, scheduler, cache=cache, router=router,
-                   calibrator=calibrator, compiled=compiled)
+        pipeline, calibrator = _load_pipeline(directory, router)
+        return cls(pipeline, _scheduler(pipeline, **scheduler_kwargs),
+                   cache=cache, router=router, calibrator=calibrator,
+                   compiled=compiled)
+
+    @property
+    def threshold(self) -> float:
+        """The snapshot's match threshold."""
+        return self.pipeline.threshold
 
     def close(self) -> None:
         """Nothing to tear down; present so registries can close any engine."""
 
-    def _score_batches(self, encoded, positions, keys, probabilities,
-                       meter) -> None:
-        extractor, matcher = self.pipeline.extractor, self.pipeline.matcher
-        for batch in self.scheduler.schedule_encoded(encoded, positions):
-            with telemetry.span("serve.batch", engine=self.engine_name,
-                                num_pairs=batch.num_pairs,
-                                padded_length=batch.padded_length) as sp:
-                if self.compiled is not None:
-                    probs = self.compiled.probabilities(batch.ids, batch.mask)
-                else:
-                    # Inference never reads the tape — skip building it.
-                    with no_grad():
-                        probs = matcher.probabilities(
-                            extractor.encode(batch.ids, batch.mask))
-            meter.record_batch(batch.num_covered, sp.duration)
-            batch.scatter(probabilities, probs)
-            self._admit_scored(batch, probs, keys, meter)
-        return None
-
-
-# --------------------------------------------------------------------------- #
-# worker-side plumbing (module-level so worker processes can run it)
-# --------------------------------------------------------------------------- #
-
-_WORKER_PIPELINE: Optional[ERPipeline] = None
-
-
-def _init_worker(directory: str, expected_digest: Optional[str]) -> None:
-    """Load one warm pipeline per worker, under the store's artifact lock.
-
-    The manifest digest recorded by the parent is re-read here — on initial
-    startup *and on every supervisor respawn*: if a concurrent writer
-    republished the snapshot in between, the digests disagree and the worker
-    refuses to serve a mixed fleet.
-    """
-    global _WORKER_PIPELINE
-    store = ArtifactStore(directory)
-    with store.lock("pipeline"):
-        if expected_digest is not None:
-            actual = store.manifest_digest()
-            if actual != expected_digest:
-                raise ArtifactError(
-                    f"pipeline snapshot at {directory} changed during worker "
-                    f"startup (manifest {actual[:12]}... != expected "
-                    f"{expected_digest[:12]}...)")
-        _WORKER_PIPELINE = ERPipeline.load(directory)
-
-
-def _worker_setup(directory: str, expected_digest: Optional[str],
-                  compiled: bool = False
-                  ) -> Union[ERPipeline, CompiledInference]:
-    """Supervisor initializer: digest-verified warm pipeline as worker state.
-
-    With ``compiled`` the state is a :class:`CompiledInference` wrapping
-    the warm pipeline — each worker records its own programs (processes
-    share nothing), keyed by the same digest the parent pinned.
-    """
-    _init_worker(directory, expected_digest)
-    assert _WORKER_PIPELINE is not None
-    if compiled:
-        return CompiledInference(_WORKER_PIPELINE)
-    return _WORKER_PIPELINE
-
-
-def _score_payload(state: Union[ERPipeline, CompiledInference],
-                   payload: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Score one padded ``(ids, mask)`` batch with warm worker state."""
-    ids, mask = payload
-    if isinstance(state, CompiledInference):
-        return state.probabilities(ids, mask)
-    with no_grad():
-        return state.matcher.probabilities(state.extractor.encode(ids, mask))
-
-
-def _validate_probabilities(payload: Tuple[np.ndarray, np.ndarray],
-                            result) -> Optional[str]:
-    """Reject garbage worker output before it can corrupt a decision list."""
-    ids, __ = payload
-    expected = int(ids.shape[0])
-    if not isinstance(result, np.ndarray):
-        return f"expected ndarray, got {type(result).__name__}"
-    if result.shape != (expected,):
-        return f"shape {result.shape} != ({expected},)"
-    if not np.all(np.isfinite(result)):
-        return "non-finite probabilities"
-    if float(result.min()) < -1e-9 or float(result.max()) > 1.0 + 1e-9:
-        return "probabilities outside [0, 1]"
-    return None
-
-
-class ParallelScorer(RequestScorer):
-    """Shard scheduled batches across a supervised pool of warm workers.
-
-    Parameters
-    ----------
-    directory:
-        A pipeline snapshot written by :meth:`ERPipeline.save`.  Each worker
-        loads its own copy through :mod:`repro.artifacts`.
-    num_workers:
-        Pool size; must be >= 1.
-    retry:
-        :class:`~repro.resilience.RetryPolicy` for deadlines, retry budget,
-        respawn budget, and backoff (defaults are production-lenient).
-    chaos:
-        Optional :class:`~repro.resilience.ChaosConfig` fault plan; when
-        ``None`` the ``REPRO_CHAOS`` environment variable is consulted.
-    cache:
-        Optional :class:`~repro.serve.cache.ScoreCache` consulted before
-        batch formation; only cache misses are batched and shipped to the
-        pool, and a fully warm request never spins the pool up at all.
-        Keys are derived from this snapshot's manifest digest, so a
-        republished snapshot can never serve stale probabilities.
-    router:
-        Optional :class:`~repro.risk.RiskRouter`; the snapshot's
-        ``calibration.json`` is loaded alongside it and every response
-        carries routing annotations (decisions stay bit-identical).
-    scheduler_kwargs:
-        Forwarded to :class:`BatchScheduler` (caps, bucket rounding...).
-
-    Use as a context manager (or call :meth:`close`) so the pool is torn
-    down deterministically — including on error paths.  Worker processes are
-    spawned lazily on the first non-empty scoring call (or explicitly via
-    :meth:`warm_up`); zero-work calls never spin up a pool.  A closed scorer
-    refuses further parallel work with a clear error instead of silently
-    recreating its pool.
-    """
-
-    def __init__(self, directory: Union[str, Path], num_workers: int = 4,
-                 retry: Optional[RetryPolicy] = None,
-                 chaos: Optional[ChaosConfig] = None,
-                 cache: Optional[ScoreCache] = None,
-                 router=None, compiled: bool = False,
-                 **scheduler_kwargs):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.cache = cache
-        self.router = router
-        self.compiled = compiled
-        self.directory = Path(directory)
-        self.num_workers = num_workers
-        store = ArtifactStore(self.directory)
-        # Lightweight parent-side load: config + vocab only, no weights.
-        import json
-        config = store.read("pipeline.json",
-                            lambda p: json.loads(p.read_text()))
-        from ..text import Vocabulary
-        tokens = store.read("vocab.txt",
-                            lambda p: p.read_text().split("\n"))
-        vocab = Vocabulary(tokens[Vocabulary().num_special:])
-        self.threshold = float(config["threshold"])
-        self.blocker = OverlapBlocker(**config["blocker"])
-        self.scheduler = BatchScheduler(vocab, config["extractor"]["max_len"],
-                                        **scheduler_kwargs)
-        self._digest = store.manifest_digest()
-        self.calibrator = (_snapshot_calibrator(self.directory)
-                           if router is not None else None)
-        self.retry = retry or RetryPolicy()
-        self.chaos = chaos if chaos is not None else ChaosConfig.from_env()
-        #: Cumulative recovery counters across every run of this scorer;
-        #: ``last_metrics.events`` carries the per-run delta.
-        self.events = Events()
-        self._supervisor: Optional[SupervisedPool] = None
-        self._fallback_pipeline: Optional[Union[ERPipeline,
-                                                CompiledInference]] = None
-        self._closed = False
-        self.last_metrics: Optional[ServeMetrics] = None
-
-    # -- pool lifecycle ---------------------------------------------------- #
-    def _fallback_score(self, payload: Tuple[np.ndarray, np.ndarray]
-                        ) -> np.ndarray:
-        """In-process scoring for quarantined batches and pool death."""
-        if self._fallback_pipeline is None:
-            pipeline = ERPipeline.load(self.directory)
-            self._fallback_pipeline = (CompiledInference(pipeline)
-                                       if self.compiled else pipeline)
-        return _score_payload(self._fallback_pipeline, payload)
-
-    def _ensure_pool(self) -> SupervisedPool:
-        if self._closed:
-            raise RuntimeError(
-                "ParallelScorer is closed; construct a new scorer instead of "
-                "reusing one whose pool has been torn down")
-        if self._supervisor is None:
-            self._supervisor = SupervisedPool(
-                setup=_worker_setup,
-                setup_args=(str(self.directory), self._digest, self.compiled),
-                handle=_score_payload,
-                num_workers=self.num_workers,
-                policy=self.retry,
-                events=self.events,
-                validate=_validate_probabilities,
-                fallback=self._fallback_score,
-                chaos=self.chaos,
-                mp_context=_mp_context())
-            self._supervisor.start()
-        return self._supervisor
-
-    def warm_up(self, timeout: Optional[float] = None) -> int:
-        """Spawn the pool and block until workers are warm; returns how many.
-
-        Benchmarks call this so model-loading time is excluded from scoring
-        wall time; serving paths can rely on lazy spin-up instead.
-        """
-        with telemetry.span("serve.warm_up", num_workers=self.num_workers):
-            return self._ensure_pool().wait_ready(timeout=timeout)
-
-    @property
-    def degraded(self) -> bool:
-        """True once the pool died and scoring fell back to in-process."""
-        return self._supervisor is not None and self._supervisor.degraded
-
-    def close(self) -> None:
-        """Terminate and join every worker; safe to call twice or on error."""
-        if self._supervisor is not None:
-            self._supervisor.close()
-            self._supervisor = None
-        self._closed = True
-
-    def __enter__(self) -> "ParallelScorer":
+    def __enter__(self) -> "SequentialScorer":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- scoring ----------------------------------------------------------- #
-    engine_name = "parallel"
+    def _forward(self, batch: ScheduledBatch,
+                 compiled: Optional[CompiledInference]
+                 ) -> Tuple[np.ndarray, float]:
+        """One batch's match probabilities and its forward-pass seconds."""
+        with telemetry.span("serve.batch", engine=self.engine_name,
+                            num_pairs=batch.num_pairs,
+                            padded_length=batch.padded_length) as sp:
+            if compiled is not None:
+                probs = compiled.probabilities(batch.ids, batch.mask)
+            else:
+                # Inference never reads the tape — skip building it.
+                with no_grad():
+                    probs = self.pipeline.matcher.probabilities(
+                        self.pipeline.extractor.encode(batch.ids,
+                                                       batch.mask))
+        return probs, sp.duration
 
-    def _meter_workers(self) -> int:
-        return self.num_workers
+    def _collect(self, batch: ScheduledBatch, probs: np.ndarray,
+                 seconds: float, keys: List[str], probabilities: np.ndarray,
+                 meter: ThroughputMeter) -> None:
+        meter.record_batch(batch.num_covered, seconds)
+        batch.scatter(probabilities, probs)
+        self._admit_scored(batch, probs, keys, meter)
 
     def _score_batches(self, encoded, positions, keys, probabilities,
-                       meter) -> Dict[str, int]:
-        """Scores bit-identical to a sequential engine with the same
-        scheduler configuration — faults included."""
-        with telemetry.span("serve.schedule", num_pairs=len(encoded)):
-            batches = list(self.scheduler.schedule_encoded(encoded, positions))
-        before = self.events.copy()
-        if batches:  # a fully warm request never spins up the pool
-            payloads = [(batch.ids, batch.mask) for batch in batches]
-            supervisor = self._ensure_pool()
-            for seq, probs, busy, pid in supervisor.map_unordered(payloads):
-                batches[seq].scatter(probabilities, probs)
-                meter.record_batch(batches[seq].num_covered, busy)
-                self._admit_scored(batches[seq], probs, keys, meter)
-                telemetry.event("serve.batch", engine=self.engine_name,
-                                seq=seq, num_pairs=batches[seq].num_pairs,
-                                padded_length=batches[seq].padded_length,
-                                busy_seconds=busy, worker_pid=pid)
-        run_events = self.events - before
-        if run_events:
-            logger.warning("serve recovered-run events=%s",
-                           run_events.to_dict())
-        return run_events.to_dict()
+                       meter) -> None:
+        for batch in self.scheduler.schedule_encoded(encoded, positions):
+            probs, seconds = self._forward(batch, self.compiled)
+            self._collect(batch, probs, seconds, keys, probabilities, meter)
 
     def score_tables(self, left_table: Iterable[Entity],
                      right_table: Iterable[Entity],
@@ -544,13 +342,22 @@ class ParallelScorer(RequestScorer):
                      ) -> Iterator[MatchDecision]:
         """Stream decisions for every blocked candidate pair.
 
+        Blocks lazily and scores in bounded windows — O(window) memory.
         ``blocker`` overrides the snapshot's own overlap blocker — any
         :class:`~repro.blocking.CandidateStream` works, e.g. a
-        :class:`repro.scale.ShardedBlocker` streaming entity chunks.  An
-        empty blocker output streams nothing and never spins up workers.
+        :class:`repro.scale.ShardedBlocker` streaming entity chunks.
         """
-        yield from _stream_tables(self, blocker or self.blocker, left_table,
-                                  right_table, window)
+        if window <= 0:
+            raise ValueError("window must be positive")
+        blocker = blocker or self.pipeline.blocker
+        buffer: List[EntityPair] = []
+        for pair in blocker.iter_candidates(left_table, right_table):
+            buffer.append(pair)
+            if len(buffer) >= window:
+                yield from self.score_pairs(buffer)
+                buffer = []
+        if buffer:
+            yield from self.score_pairs(buffer)
 
     def match_tables(self, left_table: Iterable[Entity],
                      right_table: Iterable[Entity]) -> List[Tuple[str, str]]:
@@ -560,34 +367,125 @@ class ParallelScorer(RequestScorer):
                 if d.probability >= self.threshold]
 
 
+class ParallelScorer(SequentialScorer):
+    """Fan scheduled batches out over ``num_workers`` threads.
+
+    Parameters
+    ----------
+    pipeline:
+        A live :class:`ERPipeline` or a snapshot directory written by
+        :meth:`ERPipeline.save`, loaded once and shared by every thread.
+    num_workers:
+        Worker threads; must be >= 1.
+    cache / router / compiled:
+        As for :class:`SequentialScorer`.  With ``compiled`` every worker
+        thread records and replays its own programs, because a program's
+        buffers are not re-entrant.
+    scheduler_kwargs:
+        Forwarded to :class:`BatchScheduler` (caps, bucket rounding...).
+
+    Threads start lazily on the first request that has batches to score;
+    zero-work requests and fully cached requests start none.  Use as a
+    context manager (or call :meth:`close`) so the threads are joined
+    deterministically.  A closed scorer refuses further work.
+    """
+
+    engine_name = "parallel"
+
+    def __init__(self, pipeline: Union[ERPipeline, str, Path],
+                 num_workers: int = 4,
+                 cache: Optional[ScoreCache] = None,
+                 router=None, compiled: bool = False,
+                 **scheduler_kwargs):
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        pipeline, calibrator = _load_pipeline(pipeline, router)
+        super().__init__(pipeline, _scheduler(pipeline, **scheduler_kwargs),
+                         cache=cache, router=router, calibrator=calibrator,
+                         compiled=compiled)
+        self.num_workers = num_workers
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._closed = False
+
+    def close(self) -> None:
+        """Join every worker thread; safe to call twice or on error.
+
+        Batches already submitted finish first, so a request in flight
+        completes; any later request is refused.
+        """
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+    def _meter_workers(self) -> int:
+        return self.num_workers
+
+    def _start_worker(self) -> None:
+        self._local.compiled = (
+            CompiledInference(self.pipeline, digest=self._digest)
+            if self.compiled is not None else None)
+
+    def _worker_forward(self, batch: ScheduledBatch
+                        ) -> Tuple[np.ndarray, float]:
+        return self._forward(batch, self._local.compiled)
+
+    def _submit(self, batches: List[ScheduledBatch]) -> List[Future]:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError(
+                    "ParallelScorer is closed; construct a new scorer "
+                    "instead of reusing one whose threads were joined")
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    self.num_workers, thread_name_prefix="repro-score",
+                    initializer=self._start_worker)
+            # One context copy per batch (a context runs in one thread at
+            # a time): the batch's span nests under this request's run.
+            return [self._executor.submit(contextvars.copy_context().run,
+                                          self._worker_forward, batch)
+                    for batch in batches]
+
+    def _score_batches(self, encoded, positions, keys, probabilities,
+                       meter) -> None:
+        with telemetry.span("serve.schedule", num_pairs=len(encoded)):
+            batches = list(self.scheduler.schedule_encoded(encoded, positions))
+        if not batches:  # a fully cached request starts no thread
+            return
+        futures = self._submit(batches)
+        try:
+            # Collected in schedule order, so cache admissions (and LRU
+            # evictions) happen exactly as in the sequential engine.
+            for batch, future in zip(batches, futures):
+                try:
+                    probs, seconds = future.result()
+                except Exception as error:
+                    raise RuntimeError(
+                        f"{self.engine_name} scoring failed on the batch "
+                        f"covering positions {_preview(batch.indices)}: "
+                        f"{error}") from error
+                self._collect(batch, probs, seconds, keys, probabilities,
+                              meter)
+        finally:
+            # No batch of this request outlives it: drop the queued ones
+            # and wait out the running ones.
+            for future in futures:
+                if not future.cancel():
+                    future.exception()
+
+
 # --------------------------------------------------------------------------- #
 # streaming API
 # --------------------------------------------------------------------------- #
-
-def _stream_tables(scorer, blocker: CandidateStream,
-                   left_table: Iterable[Entity],
-                   right_table: Iterable[Entity],
-                   window: int) -> Iterator[MatchDecision]:
-    """Block lazily and score in bounded windows — O(window) memory."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    buffer: List[EntityPair] = []
-    for pair in blocker.iter_candidates(left_table, right_table):
-        buffer.append(pair)
-        if len(buffer) >= window:
-            yield from scorer.score_pairs(buffer)
-            buffer = []
-    if buffer:
-        yield from scorer.score_pairs(buffer)
-
 
 def score_tables(pipeline: Union[ERPipeline, str, Path],
                  left_table: Iterable[Entity],
                  right_table: Iterable[Entity],
                  num_workers: int = 0,
                  window: int = STREAM_WINDOW,
-                 retry: Optional[RetryPolicy] = None,
-                 chaos: Optional[ChaosConfig] = None,
                  cache: Optional[ScoreCache] = None,
                  router=None,
                  blocker: Optional[CandidateStream] = None,
@@ -596,41 +494,31 @@ def score_tables(pipeline: Union[ERPipeline, str, Path],
 
     ``pipeline`` is either a live :class:`ERPipeline` or a snapshot
     directory.  ``num_workers=0`` scores in-process through the batched
-    :class:`SequentialScorer`; ``num_workers >= 1`` shards the windows over
-    a supervised :class:`ParallelScorer` pool (directory input required,
-    since each worker loads its own model) — ``retry`` and ``chaos`` tune
-    its fault-tolerance policy.  Decisions stream in blocker order with at
-    most ``window`` candidates buffered, so two large tables never
-    materialize their full candidate set.  Filter on ``d.probability`` (or
-    ``d.is_match``) to keep matches only.  ``cache`` memoizes probabilities
-    across windows and calls — overlapping candidate sets are scored once.
-    ``router`` (a :class:`repro.risk.RiskRouter`) annotates every window as
-    it streams — uncertain pairs land on the router's review queue — while
-    the yielded decisions stay bit-identical to a router-less run.
-    ``blocker`` substitutes any :class:`~repro.blocking.CandidateStream`
-    for the snapshot's built-in overlap blocker — the scale pipeline passes
-    a :class:`repro.scale.ShardedBlocker` here, with both tables as lazy
+    :class:`SequentialScorer`; ``num_workers >= 1`` fans each window's
+    batches out over that many :class:`ParallelScorer` threads.  Decisions
+    stream in blocker order with at most ``window`` candidates buffered, so
+    two large tables never materialize their full candidate set.  Filter on
+    ``d.probability`` (or ``d.is_match``) to keep matches only.  ``cache``
+    memoizes probabilities across windows and calls — overlapping candidate
+    sets are scored once.  ``router`` (a :class:`repro.risk.RiskRouter`)
+    annotates every window as it streams — uncertain pairs land on the
+    router's review queue — while the yielded decisions stay bit-identical
+    to a router-less run.  ``blocker`` substitutes any
+    :class:`~repro.blocking.CandidateStream` for the snapshot's built-in
+    overlap blocker — the scale pipeline passes a
+    :class:`repro.scale.ShardedBlocker` here, with both tables as lazy
     entity streams.
     """
     if num_workers > 0:
-        if isinstance(pipeline, ERPipeline):
-            raise ValueError(
-                "parallel score_tables needs a pipeline snapshot directory "
-                "(each worker loads its own warm model)")
-        with ParallelScorer(pipeline, num_workers=num_workers, retry=retry,
-                            chaos=chaos, cache=cache, router=router,
-                            **scheduler_kwargs) as scorer:
-            yield from scorer.score_tables(left_table, right_table,
-                                           window=window, blocker=blocker)
-        return
-    calibrator = None
-    if not isinstance(pipeline, ERPipeline):
-        if router is not None:
-            calibrator = _snapshot_calibrator(pipeline)
-        pipeline = ERPipeline.load(pipeline)
-    scorer = SequentialScorer(pipeline, BatchScheduler(
-        pipeline.extractor.vocab, pipeline.extractor.max_len,
-        **scheduler_kwargs), cache=cache, router=router,
-        calibrator=calibrator)
-    yield from _stream_tables(scorer, blocker or pipeline.blocker,
-                              left_table, right_table, window)
+        scorer = ParallelScorer(pipeline, num_workers=num_workers,
+                                cache=cache, router=router,
+                                **scheduler_kwargs)
+    else:
+        pipeline, calibrator = _load_pipeline(pipeline, router)
+        scorer = SequentialScorer(pipeline,
+                                  _scheduler(pipeline, **scheduler_kwargs),
+                                  cache=cache, router=router,
+                                  calibrator=calibrator)
+    with scorer:
+        yield from scorer.score_tables(left_table, right_table,
+                                       window=window, blocker=blocker)

@@ -55,9 +55,6 @@ class ServeMetrics:
     wall_seconds: float
     busy_seconds: float  # summed per-batch compute time across workers
     batch_latencies: List[float] = field(default_factory=list)
-    #: Per-run recovery counters from :class:`repro.resilience.Events`
-    #: (retries, respawns, quarantines...); empty == fault-free run.
-    events: Dict[str, int] = field(default_factory=dict)
     #: Per-run score-cache counters (hits/misses/hit_rate...); empty when
     #: the engine ran without a :class:`repro.serve.cache.ScoreCache`.
     cache: Dict[str, Any] = field(default_factory=dict)
@@ -92,7 +89,6 @@ class ServeMetrics:
             "p50_batch_seconds": self.p50_batch_seconds,
             "p95_batch_seconds": self.p95_batch_seconds,
             "worker_utilization": self.worker_utilization,
-            "events": {k: v for k, v in self.events.items() if v},
             "cache": dict(self.cache),
         }
 
@@ -168,8 +164,8 @@ class ThroughputMeter:
                 "hit_rate": hits / total if total else 0.0,
                 "entries": entries}
 
-    def finalize(self, events: Optional[Dict[str, int]] = None,
-                 cache: Optional[Dict[str, Any]] = None) -> ServeMetrics:
+    def finalize(self, cache: Optional[Dict[str, Any]] = None
+                 ) -> ServeMetrics:
         with self._lock:
             if self._metrics is not None:  # idempotent under racing callers
                 return self._metrics
@@ -182,6 +178,5 @@ class ThroughputMeter:
                 wall_seconds=self._span.duration,
                 busy_seconds=self._busy,
                 batch_latencies=list(self._latencies),
-                events=dict(events or {}),
                 cache=dict(cache or {}))
             return self._metrics

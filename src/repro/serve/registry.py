@@ -7,7 +7,8 @@ assumes all of them live behind one endpoint.  :class:`ModelRegistry` is
 that routing table:
 
 * :meth:`publish` loads a pipeline snapshot (sequential in-process engine,
-  or a :class:`~repro.serve.engine.ParallelScorer` pool for heavy tenants)
+  or a thread-parallel :class:`~repro.serve.engine.ParallelScorer` for
+  heavy tenants)
   and installs it under a domain key.  Publishing over an existing domain
   is a **zero-downtime hot swap**: the new engine is fully loaded *before*
   the atomic swap, requests that already resolved the old generation finish
@@ -119,15 +120,14 @@ class ModelRegistry:
         engine, so routing rates and the review queue are global across
         domains and generations; each engine pairs it with its *own*
         snapshot's calibrator.
-    retry / scheduler_kwargs:
+    scheduler_kwargs:
         Forwarded to engines built by :meth:`publish`.
     """
 
     def __init__(self, cache: Optional[ScoreCache] = None,
-                 retry=None, router=None, compiled: bool = False,
+                 router=None, compiled: bool = False,
                  **scheduler_kwargs):
         self.cache = cache
-        self.retry = retry
         self.router = router
         #: Build every tenant engine on the trace-and-replay path.  Programs
         #: are keyed by snapshot digest, so a hot swap recompiles instead of
@@ -143,8 +143,8 @@ class ModelRegistry:
                       num_workers: int) -> RequestScorer:
         if num_workers > 0:
             return ParallelScorer(directory, num_workers=num_workers,
-                                  retry=self.retry, cache=self.cache,
-                                  router=self.router, compiled=self.compiled,
+                                  cache=self.cache, router=self.router,
+                                  compiled=self.compiled,
                                   **self.scheduler_kwargs)
         return SequentialScorer.from_directory(directory, cache=self.cache,
                                                router=self.router,
@@ -229,7 +229,7 @@ class ModelRegistry:
         Engines with live leases are closed anyway — shutdown beats
         stragglers — which is safe because
         :meth:`~repro.serve.engine.ParallelScorer.close` is idempotent and
-        hardened against in-flight work.
+        lets batches already submitted finish.
         """
         with self._lock:
             self._closed = True

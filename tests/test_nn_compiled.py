@@ -449,11 +449,15 @@ class TestFallback:
 
     def test_compiled_flag_is_lossless_at_engine_level(self, compiled_setup):
         # An engine asked for compiled inference on an incompatible model
-        # must still serve correct answers — only slower.
+        # must still serve correct answers — only slower.  Several bucket
+        # shapes, so both worker threads record and replay programs.
         __, directory = compiled_setup
-        pairs = _ragged_pairs(30, seed=3)
+        pairs = _ragged_pairs(60, seed=3)
         with ParallelScorer(directory, num_workers=2,
                             compiled=True) as pool:
+            shapes = {batch.ids.shape
+                      for batch in pool.scheduler.schedule(pairs)}
+            assert len(shapes) >= 3, shapes
             parallel = pool.score_pairs(pairs)
         sequential = SequentialScorer(
             ERPipeline.load(directory), compiled=True).score_pairs(pairs)

@@ -1,20 +1,24 @@
-"""Unit tests for the repro.resilience layer (tier 1 — no injected faults).
+"""Unit tests for the repro.resilience layer (tier 1).
 
 The chaos tier (``pytest -m chaos``, ``tests/test_failure_injection.py``)
-proves the recovery paths end-to-end; these tests pin the pure machinery:
-backoff schedules, event arithmetic, chaos-plan parsing, guard-rail
-rollback semantics, and the engine's no-work/closed edge cases.
+proves the training recovery paths end-to-end; these tests pin the pure
+machinery: backoff schedules, event arithmetic, chaos-plan predicates,
+guard-rail rollback semantics, and the thread engine's failure and
+lifecycle edge cases.
 """
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.data import Entity
+from repro.data import Entity, EntityPair
 from repro.matcher import MlpMatcher
 from repro.resilience import (BackoffPolicy, ChaosConfig, Events, Fault,
-                              GuardRail, RetryPolicy, SupervisedPool,
-                              TrainingDiverged, merge_chaos)
-from repro.serve.engine import ParallelScorer, _validate_probabilities
+                              GuardRail, TrainingDiverged)
+from repro.serve import ParallelScorer, SequentialScorer
 
 
 class TestBackoffPolicy:
@@ -50,11 +54,10 @@ class TestBackoffPolicy:
 
 class TestEvents:
     def test_delta_and_sum(self):
-        before = Events(retries=2, crashes=1)
-        after = Events(retries=5, crashes=1, respawns=3)
+        before = Events(rollbacks=2)
+        after = Events(rollbacks=5, lr_halvings=3)
         delta = after - before
-        assert delta.retries == 3 and delta.respawns == 3
-        assert delta.crashes == 0
+        assert delta.rollbacks == 3 and delta.lr_halvings == 3
         assert (before + delta).to_dict() == after.to_dict()
 
     def test_bool_is_any_recovery(self):
@@ -62,113 +65,37 @@ class TestEvents:
         assert Events(rollbacks=1)
 
     def test_copy_is_independent(self):
-        a = Events(retries=1)
+        a = Events(rollbacks=1)
         b = a.copy()
-        b.retries += 1
-        assert a.retries == 1
+        b.rollbacks += 1
+        assert a.rollbacks == 1
 
     def test_merge_accumulates_in_place(self):
-        a = Events(retries=1)
-        a.merge(Events(retries=2, quarantined=1))
-        assert a.retries == 3 and a.quarantined == 1
+        a = Events(rollbacks=1)
+        a.merge(Events(rollbacks=2, lr_halvings=1))
+        assert a.rollbacks == 3 and a.lr_halvings == 1
 
 
 class TestChaosConfig:
-    def test_from_spec_round_trip(self):
-        plan = ChaosConfig.from_spec(
-            "crash:batch=2;hang:batch=5,worker=1,times=2,hang_seconds=9;"
-            "garbage:times=always;nan_loss:step=3")
-        kinds = [f.kind for f in plan.faults]
-        assert kinds == ["crash", "hang", "garbage", "nan_loss"]
-        assert plan.faults[1].hang_seconds == 9.0
-        assert plan.faults[2].times is None
-        assert plan.nan_loss_at(3) and not plan.nan_loss_at(4)
-
-    def test_from_spec_rejects_junk(self):
-        with pytest.raises(ValueError):
-            ChaosConfig.from_spec("explode:batch=1")
-        with pytest.raises(ValueError):
-            ChaosConfig.from_spec("crash:batch")
-        with pytest.raises(ValueError):
-            ChaosConfig.from_spec("crash:color=red")
-
-    def test_from_env(self):
-        assert ChaosConfig.from_env(environ={}) is None
-        plan = ChaosConfig.from_env(environ={"REPRO_CHAOS": "crash:batch=1"})
-        assert plan.faults[0].batch == 1
-
     def test_times_gates_retries_deterministically(self):
-        plan = ChaosConfig((Fault("crash", batch=2, times=1),))
-        assert plan.fault_for(0, 2, 0) is not None
-        # Attempt 1 (the retry) escapes the fault on ANY worker.
-        assert plan.fault_for(0, 2, 1) is None
-        assert plan.fault_for(3, 2, 1) is None
-        assert plan.fault_for(0, 1, 0) is None
+        plan = ChaosConfig((Fault("promote_crash", step=2, times=1),))
+        assert plan.risk_fault_at("promote_crash", 2, occurrence=0)
+        # The restarted worker (occurrence 1) escapes the fault.
+        assert not plan.risk_fault_at("promote_crash", 2, occurrence=1)
+        assert not plan.risk_fault_at("promote_crash", 1, occurrence=0)
+        assert not plan.risk_fault_at("corrupt_segment", 2, occurrence=0)
 
     def test_poison_fault_never_expires(self):
-        plan = ChaosConfig((Fault("garbage", batch=0, times=None),))
-        for attempt in range(10):
-            assert plan.fault_for(attempt % 3, 0, attempt) is not None
-
-    def test_merge(self):
-        a = ChaosConfig((Fault("crash", batch=1),))
-        b = ChaosConfig((Fault("hang", batch=2),))
-        merged = merge_chaos([a, None, b])
-        assert [f.kind for f in merged.faults] == ["crash", "hang"]
-        assert merge_chaos([None, None]) is None
+        plan = ChaosConfig((Fault("corrupt_segment", times=None),))
+        for occurrence in range(10):
+            assert plan.risk_fault_at("corrupt_segment", occurrence % 3,
+                                      occurrence)
 
     def test_fault_validation(self):
         with pytest.raises(ValueError):
             Fault("meteor")
         with pytest.raises(ValueError):
-            Fault("crash", times=0)
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(batch_timeout=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_respawns=-1)
-        RetryPolicy(batch_timeout=None)  # "no deadline" is allowed
-
-
-def _square(state, payload):
-    return payload * payload
-
-
-def _no_setup():
-    return None
-
-
-class TestSupervisedPoolCleanRun:
-    def test_every_payload_answered_exactly_once(self):
-        with SupervisedPool(setup=_no_setup, setup_args=(), handle=_square,
-                            num_workers=2,
-                            policy=RetryPolicy(
-                                backoff=BackoffPolicy.instant())) as pool:
-            results = dict()
-            for seq, result, busy, pid in pool.map_unordered([1, 2, 3, 4, 5]):
-                assert seq not in results
-                results[seq] = result
-                assert busy >= 0.0
-        assert results == {0: 1, 1: 4, 2: 9, 3: 16, 4: 25}
-        assert pool.events.total() == 0
-
-    def test_empty_mapping_is_a_noop(self):
-        pool = SupervisedPool(setup=_no_setup, setup_args=(), handle=_square,
-                              num_workers=1)
-        assert list(pool.map_unordered([])) == []  # never even starts
-        pool.close()
-
-    def test_closed_pool_refuses_work(self):
-        pool = SupervisedPool(setup=_no_setup, setup_args=(), handle=_square,
-                              num_workers=1)
-        pool.close()
-        with pytest.raises(RuntimeError):
-            list(pool.map_unordered([1]))
+            Fault("promote_crash", times=0)
 
 
 def _stub_optimizer(lr=1e-3):
@@ -259,25 +186,23 @@ class TestGuardRail:
             GuardRail({"m": matcher}, [], ema_decay=1.5)
 
 
-class TestOutputValidation:
-    def _payload(self, rows=3):
-        ids = np.zeros((rows, 4), dtype=np.int64)
-        mask = np.ones((rows, 4), dtype=bool)
-        return ids, mask
+def _ragged_pairs(count, seed=0):
+    """Pairs whose serialized lengths span several scheduler buckets."""
+    rng = np.random.default_rng(seed)
+    words = ["mesa", "rook", "tide", "volt", "wick", "yarn", "zinc",
+             "opal", "pine", "quay"]
+    return [EntityPair(
+        Entity(f"l{i}", {"name": " ".join(rng.choice(words,
+                                                     rng.integers(1, 12)))}),
+        Entity(f"r{i}", {"name": " ".join(rng.choice(words,
+                                                     rng.integers(1, 12)))}))
+        for i in range(count)]
 
-    def test_accepts_clean_probabilities(self):
-        assert _validate_probabilities(self._payload(),
-                                       np.array([0.1, 0.5, 0.9])) is None
 
-    def test_rejects_wrong_type_shape_nan_and_range(self):
-        payload = self._payload()
-        assert "ndarray" in _validate_probabilities(payload, [0.1, 0.5, 0.9])
-        assert "shape" in _validate_probabilities(payload,
-                                                  np.array([0.1, 0.5]))
-        assert "finite" in _validate_probabilities(
-            payload, np.array([0.1, np.nan, 0.9]))
-        assert "outside" in _validate_probabilities(
-            payload, np.array([0.1, 0.5, 1.5]))
+def _new_score_threads(before):
+    """Live scorer worker threads that did not exist in ``before``."""
+    return [thread for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("repro-score")]
 
 
 class TestScorerEdgeCases:
@@ -294,22 +219,129 @@ class TestScorerEdgeCases:
         return tmp_path / "pipeline"
 
     def test_empty_pairs_never_spin_up_workers(self, snapshot_dir):
+        before = set(threading.enumerate())
         with ParallelScorer(snapshot_dir, num_workers=2) as scorer:
             assert scorer.score_pairs([]) == []
-            assert scorer._supervisor is None
+            assert _new_score_threads(before) == []
             assert scorer.last_metrics.num_pairs == 0
 
     def test_empty_blocker_output_never_spins_up_workers(self, snapshot_dir):
+        before = set(threading.enumerate())
         with ParallelScorer(snapshot_dir, num_workers=2) as scorer:
             # Disjoint vocabularies: the overlap blocker emits nothing.
             left = [Entity("l0", {"name": "aardvark"})]
             right = [Entity("r0", {"name": "zyzzyva"})]
             assert list(scorer.score_tables(left, right)) == []
-            assert scorer._supervisor is None
+            assert _new_score_threads(before) == []
 
     def test_closed_scorer_refuses_parallel_work(self, snapshot_dir):
         scorer = ParallelScorer(snapshot_dir, num_workers=1)
         scorer.close()
         scorer.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            scorer._ensure_pool()
+            scorer.score_pairs(_ragged_pairs(4))
+
+    def test_close_joins_every_worker_thread(self, snapshot_dir):
+        before = set(threading.enumerate())
+        scorer = ParallelScorer(snapshot_dir, num_workers=3,
+                                max_batch_pairs=4)
+        scorer.score_pairs(_ragged_pairs(40))
+        assert _new_score_threads(before), "scoring started no thread"
+        scorer.close()
+        assert _new_score_threads(before) == []
+
+    def test_poison_batch_fails_its_request_only(self, snapshot_dir,
+                                                 monkeypatch, tmp_path):
+        from repro.telemetry import TRACER, TelemetrySession
+        pairs = _ragged_pairs(40, seed=1)
+        with ParallelScorer(snapshot_dir, num_workers=2,
+                            max_batch_pairs=8) as scorer:
+            expected = SequentialScorer(
+                scorer.pipeline, scorer.scheduler).score_pairs(pairs)
+            poison = list(scorer.scheduler.schedule(pairs))[1]
+            encode = scorer.pipeline.extractor.encode
+
+            def poisoned_encode(ids, mask):
+                if np.array_equal(ids, poison.ids):
+                    raise FloatingPointError("poisoned batch")
+                return encode(ids, mask)
+
+            monkeypatch.setattr(scorer.pipeline.extractor, "encode",
+                                poisoned_encode)
+            with TelemetrySession("poison", trace_dir=tmp_path):
+                with pytest.raises(RuntimeError, match="positions") as info:
+                    scorer.score_pairs(pairs)
+                monkeypatch.undo()
+                assert scorer.score_pairs(pairs) == expected
+                runs = [r for r in TRACER.records()
+                        if r["name"] == "serve.run"]
+            assert isinstance(info.value.__cause__, FloatingPointError)
+            named = ", ".join(str(i) for i in poison.indices[:8].tolist())
+            assert named in str(info.value)
+            # The failed run's span closed: the next run is not its child.
+            assert [r["parent"] for r in runs] == [None, None]
+
+    def test_close_during_a_request_never_hangs(self, snapshot_dir):
+        scorer = ParallelScorer(snapshot_dir, num_workers=2,
+                                max_batch_pairs=4)
+        pairs = _ragged_pairs(60, seed=2)
+        expected = SequentialScorer(scorer.pipeline,
+                                    scorer.scheduler).score_pairs(pairs)
+        encode = scorer.pipeline.extractor.encode
+        started = threading.Event()
+
+        def slow_encode(ids, mask):
+            started.set()
+            time.sleep(0.005)
+            return encode(ids, mask)
+
+        scorer.pipeline.extractor.encode = slow_encode
+        outcome = {}
+
+        def request():
+            try:
+                outcome["decisions"] = scorer.score_pairs(pairs)
+            except RuntimeError as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=request)
+        thread.start()
+        assert started.wait(timeout=60)
+        scorer.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "request hung across close()"
+        if "error" in outcome:
+            assert "closed" in str(outcome["error"])
+        else:
+            assert outcome["decisions"] == expected
+
+    def test_thread_stress_stays_bit_identical(self, snapshot_dir):
+        """More threads than cores, a tiny switch interval, both inference
+        paths: a lost update anywhere in the shared state (the pipeline,
+        per-thread program buffers, the recording patches) moves a bit."""
+        pairs = _ragged_pairs(80, seed=3)
+        outcome = {}
+
+        def race():
+            for compiled in (False, True):
+                with ParallelScorer(snapshot_dir, num_workers=4,
+                                    max_batch_pairs=4,
+                                    compiled=compiled) as scorer:
+                    expected = SequentialScorer(
+                        scorer.pipeline, scorer.scheduler,
+                        compiled=compiled).score_pairs(pairs)
+                    outcome[compiled] = (scorer.score_pairs(pairs),
+                                         expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=race)
+            thread.start()
+            thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "thread stress run did not finish"
+        for compiled, (got, expected) in outcome.items():
+            assert got == expected, f"compiled={compiled} drifted"
+        assert set(outcome) == {False, True}

@@ -2,7 +2,7 @@
 
 The load-bearing guarantee: batch formation is a pure function of the pair
 sequence and scheduler configuration, so any two engines driven by the same
-scheduler — in-process or across a worker pool, any worker count — must
+scheduler — in-process or across worker threads, any worker count — must
 return *bit-identical* MatchDecision lists.  Cross-policy (bucketed vs the
 legacy full-padding reference) agreement is additionally locked to 1e-9.
 """
@@ -10,12 +10,10 @@ legacy full-padding reference) agreement is additionally locked to 1e-9.
 import numpy as np
 import pytest
 
-from repro.artifacts import ArtifactError, ArtifactStore
 from repro.data import Entity, EntityPair
 from repro.pipeline import ERPipeline
 from repro.serve import (BatchScheduler, ParallelScorer, SequentialScorer,
                          score_tables)
-from repro.serve.engine import _init_worker
 
 
 def _ragged_pairs(count, seed=0):
@@ -260,19 +258,6 @@ class TestParallelEquivalence:
         with pytest.raises(ValueError):
             ParallelScorer(directory, num_workers=0)
 
-    def test_worker_refuses_changed_snapshot(self, served, tmp_path):
-        """A snapshot republished mid-startup must not serve a mixed fleet."""
-        pipeline, __ = served
-        directory = tmp_path / "changing"
-        pipeline.save(directory)
-        store = ArtifactStore(directory)
-        stale_digest = store.manifest_digest()
-        vocab_text = store.read("vocab.txt", lambda p: p.read_text())
-        store.write_text("vocab.txt", vocab_text + "\nrepublished")
-        assert store.manifest_digest() != stale_digest
-        with pytest.raises(ArtifactError, match="changed during worker"):
-            _init_worker(str(directory), stale_digest)
-
 
 class TestScoreTables:
     def test_streaming_matches_unwindowed(self, served):
@@ -308,10 +293,15 @@ class TestScoreTables:
                                      num_workers=2))
         assert parallel == sequential
 
-    def test_parallel_requires_directory(self, served):
+    def test_parallel_accepts_live_pipeline(self, served):
         pipeline, __ = served
-        with pytest.raises(ValueError, match="snapshot directory"):
-            list(score_tables(pipeline, [], [], num_workers=2))
+        pairs = _ragged_pairs(30, seed=5)
+        left = [p.left for p in pairs]
+        right = [p.right for p in pairs]
+        sequential = list(score_tables(pipeline, left, right, window=16))
+        parallel = list(score_tables(pipeline, left, right, window=16,
+                                     num_workers=2))
+        assert parallel == sequential
 
     def test_match_tables_threshold(self, served):
         pipeline, directory = served

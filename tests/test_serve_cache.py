@@ -197,6 +197,29 @@ class TestEngineCaching:
         assert warm == baseline
         assert warm_stats["hit_rate"] == 1.0
 
+    def test_parallel_admits_in_schedule_order(self, cached_pipeline):
+        """Worker results are collected in schedule order, so a bounded
+        cache ends up holding exactly what the sequential engine leaves."""
+        pipeline, directory = cached_pipeline
+        pairs = _pairs([f"evict row {i} " + "tok " * (i % 9)
+                        for i in range(60)])
+        scheduler = BatchScheduler(pipeline.extractor.vocab,
+                                   pipeline.extractor.max_len,
+                                   max_batch_pairs=4)
+        keys = [pair_key(seq) for seq in scheduler.encode(pairs)]
+        sequential = ScoreCache(capacity=16)
+        SequentialScorer(pipeline, scheduler,
+                         cache=sequential).score_pairs(pairs)
+        parallel = ScoreCache(capacity=16)
+        with ParallelScorer(directory, num_workers=4, cache=parallel,
+                            max_batch_pairs=4) as scorer:
+            scorer.score_pairs(pairs)
+        digest = pipeline.manifest_digest
+        assert sequential.stats()["evictions"] > 0
+        assert parallel.stats() == sequential.stats()
+        np.testing.assert_array_equal(parallel.lookup(digest, keys),
+                                      sequential.lookup(digest, keys))
+
     def test_republished_snapshot_invalidates_cache(self, tmp_path, tiny_lm):
         from repro.matcher import MlpMatcher
         from repro.pretrain import fresh_copy
@@ -406,6 +429,32 @@ class TestOverlappingRuns:
         assert warm.score_pairs(pairs) == baseline
         assert warm.last_metrics.cache["hits"] == len(pairs)
         assert warm.last_metrics.cache["misses"] == 0
+
+
+class TestBenchCachePasses:
+    """serve-bench's cold pass must start cold even on a reused --cache-dir."""
+
+    def test_rerun_on_one_directory_starts_cold(self, cached_pipeline,
+                                                tmp_path):
+        from repro.serve.bench import _run_cache_passes
+        pipeline, directory = cached_pipeline
+        cache_dir = tmp_path / "scores"
+        for __ in range(2):
+            record = _run_cache_passes(pipeline, directory, num_pairs=200,
+                                       num_workers=2, seed=0,
+                                       cache_dir=cache_dir)
+            assert record["cold"]["misses"] > 0
+            assert record["cold"]["num_batches"] > 0
+            assert record["warm"]["misses"] == 0
+
+    def test_refuses_to_empty_a_directory_it_did_not_write(self, tmp_path):
+        from repro.serve.bench import _empty_cache_dir
+        precious = tmp_path / "precious"
+        precious.mkdir()
+        (precious / "model.npz").write_bytes(b"weights")
+        with pytest.raises(ValueError, match="refusing"):
+            _empty_cache_dir(precious)
+        assert (precious / "model.npz").exists()
 
 
 def _content_scores(batch):

@@ -106,6 +106,35 @@ class TestModelRegistry:
                 new = fresh.engine.score_request(as_request(pairs))
                 assert new.decisions == expected[pipeline_b.manifest_digest]
 
+    def test_retired_threaded_tenant_joins_its_threads(
+            self, snapshot_a, snapshot_b):
+        __, dir_a = snapshot_a
+        pipeline_b, dir_b = snapshot_b
+        pairs = _pairs(["thread row %d" % i for i in range(40)])
+        before = set(threading.enumerate())
+
+        def score_threads():
+            return [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("repro-score")]
+
+        with ModelRegistry(max_batch_pairs=4) as registry:
+            registry.publish("prod", dir_a, num_workers=2)
+            with registry.resolve("prod") as lease:
+                lease.engine.score_request(as_request(pairs))
+                old_threads = score_threads()
+                assert old_threads
+                registry.publish("prod", dir_b, num_workers=2)
+                # The lease pins the retired engine and its threads.
+                assert all(t.is_alive() for t in old_threads)
+            # Last lease released: the retired engine joined its threads.
+            assert not any(t.is_alive() for t in old_threads)
+            with registry.resolve("prod") as fresh:
+                expected = SequentialScorer(
+                    pipeline_b, fresh.engine.scheduler).score_pairs(pairs)
+                got = fresh.engine.score_request(as_request(pairs))
+                assert got.decisions == expected
+        assert score_threads() == []
+
     def test_hot_swap_under_load_is_bit_identical(
             self, snapshot_a, snapshot_b):
         """Worker threads score nonstop while the snapshot republishes:

@@ -233,18 +233,18 @@ class TestProfilerDoesNotPerturb:
 
 class TestEventsRegistryMirror:
     def test_bump_mirrors_to_registry(self):
-        before = REGISTRY.snapshot().get("resilience.retries", 0)
+        before = REGISTRY.snapshot().get("resilience.rollbacks", 0)
         events = Events()
-        events.bump("retries")
-        events.bump("retries", 2)
-        assert events.retries == 3
-        assert REGISTRY.snapshot()["resilience.retries"] == before + 3
+        events.bump("rollbacks")
+        events.bump("rollbacks", 2)
+        assert events.rollbacks == 3
+        assert REGISTRY.snapshot()["resilience.rollbacks"] == before + 3
 
     def test_derived_records_do_not_mirror(self):
-        events = Events(retries=5)
-        before = REGISTRY.snapshot().get("resilience.retries", 0)
+        events = Events(rollbacks=5)
+        before = REGISTRY.snapshot().get("resilience.rollbacks", 0)
         __ = events.copy() + events - events
-        assert REGISTRY.snapshot().get("resilience.retries", 0) == before
+        assert REGISTRY.snapshot().get("resilience.rollbacks", 0) == before
 
     def test_bad_field_raises(self):
         with pytest.raises(AttributeError):
@@ -286,25 +286,31 @@ class TestTelemetrySessionAndSummary:
 
 
 class TestServeBenchTelemetry:
-    def test_report_embeds_snapshot_and_recovery_counters(self, tmp_path,
-                                                          tiny_lm):
+    def test_report_embeds_snapshot_and_nests_worker_spans(self, tmp_path,
+                                                           tiny_lm):
         from repro.serve import run_serve_bench
         report = run_serve_bench(
             num_pairs=160, num_workers=2, batch_size=32,
             pipeline_dir=tmp_path / "pipe", output=tmp_path / "bench.json",
-            lm_kwargs=TINY_LM, inject_fault="garbage",
-            telemetry=True, trace_dir=tmp_path / "traces")
+            lm_kwargs=TINY_LM, telemetry=True,
+            trace_dir=tmp_path / "traces")
         tel = report["telemetry"]
         assert tel["metrics"]["serve.pairs"] >= 160
         assert tel["metrics"]["serve.batch_seconds"]["count"] >= 1
-        # the injected fault's recovery actions reach the same snapshot
-        # through Events.bump -> REGISTRY (the migrated export path)
-        assert tel["metrics"]["resilience.retries"] >= 1
-        assert tel["metrics"]["resilience.garbage"] >= 1
         trace = load_trace(tel["trace"])
         names = {s["name"] for s in trace["spans"]}
         assert {"serve.run", "serve.batch", "serve.schedule"} <= names
         assert span_tree_depth(trace["spans"]) >= 2
+        # every batch a worker thread scored nests under its request's run
+        by_id = {s["id"]: s for s in trace["spans"]}
+        parallel = [s for s in trace["spans"] if s["name"] == "serve.batch"
+                    and s["attrs"]["engine"] == "parallel"]
+        assert parallel
+        for batch in parallel:
+            parent = by_id[batch["parent"]]
+            assert parent["name"] == "serve.run"
+            assert parent["attrs"]["engine"] == "parallel"
         # the same snapshot is in the persisted BENCH_serve.json
         persisted = json.loads((tmp_path / "bench.json").read_text())
-        assert persisted["telemetry"]["metrics"]["resilience.garbage"] >= 1
+        assert persisted["telemetry"]["metrics"]["serve.pairs"] == \
+            tel["metrics"]["serve.pairs"]
