@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 def _conditional_probabilities(distances_sq: np.ndarray,
@@ -60,6 +59,9 @@ def tsne(features: np.ndarray, perplexity: float = 20.0,
         raise ValueError("t-SNE needs at least a handful of points")
     perplexity = min(perplexity, (n - 1) / 3.0)
 
+    # Imported here, not at module level: `import repro` would otherwise
+    # load scipy in every serving process.
+    from scipy.spatial.distance import cdist
     distances_sq = cdist(features, features, "sqeuclidean")
     conditional = _conditional_probabilities(distances_sq, perplexity)
     joint = (conditional + conditional.T) / (2.0 * n)
@@ -100,6 +102,7 @@ def mixing_score(features_source: np.ndarray, features_target: np.ndarray,
         raise ValueError("need more points than neighbours per domain")
     stacked = np.concatenate([source, target], axis=0)
     labels = np.concatenate([np.zeros(n_s), np.ones(n_t)])
+    from scipy.spatial.distance import cdist  # see tsne()
     distances = cdist(stacked, stacked)
     np.fill_diagonal(distances, np.inf)
     neighbours = np.argsort(distances, axis=1)[:, :k]

@@ -157,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "snapshot into the report")
     serve_bench.add_argument("--trace-dir", default="traces",
                              help="trace export directory (default traces)")
-    serve_bench.add_argument("--compiled", action="store_true",
-                             help="also race the trace-and-replay compiled "
-                                  "path against the tape across sequential, "
-                                  "parallel, and daemon engines (decisions "
-                                  "asserted bit-identical, probabilities "
-                                  "within 1e-9) and record per-op "
-                                  "attribution + speedup")
 
     serve = commands.add_parser(
         "serve",
@@ -202,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--review-dir", default="review-queue",
                        help="durable review-queue directory used when "
                             "--risk-band is set (default review-queue)")
-    serve.add_argument("--compiled", action="store_true",
-                       help="serve every engine on the trace-and-replay "
-                            "compiled path (per-shape programs keyed by "
-                            "snapshot digest; tape fallback for unseen "
-                            "shapes)")
 
     risk_calibrate = commands.add_parser(
         "risk-calibrate",
@@ -443,8 +431,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                              daemon=args.daemon, num_clients=args.clients,
                              risk=args.risk, risk_band=args.risk_band,
                              telemetry=args.telemetry,
-                             trace_dir=args.trace_dir,
-                             compiled=args.compiled)
+                             trace_dir=args.trace_dir)
     print(format_report(report))
     if "telemetry" in report:
         print(f"trace written to {report['telemetry']['trace']}")
@@ -481,10 +468,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"risk routing on: band {args.risk_band}, review queue at "
               f"{args.review_dir}")
     registry = ModelRegistry(cache=ScoreCache(capacity=args.cache_capacity),
-                             router=router, compiled=args.compiled)
-    if args.compiled:
-        print("compiled inference on: trace-and-replay programs per "
-              "(snapshot digest, batch shape), tape fallback otherwise")
+                             router=router)
     for spec in args.snapshot:
         domain, __, directory = spec.rpartition("=")
         domain = domain or "default"

@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..data import EntityPair
-from ..nn import Module, Tensor
+from ..nn import Module, Tensor, no_grad
 from ..text import Vocabulary, encode_batch
 
 
@@ -54,9 +54,10 @@ class FeatureExtractor(Module):
         was_training = self.training
         self.eval()
         chunks = []
-        for start in range(0, len(pairs), batch_size):
-            batch = pairs[start:start + batch_size]
-            chunks.append(self.forward(batch).data)
+        with no_grad():
+            for start in range(0, len(pairs), batch_size):
+                batch = pairs[start:start + batch_size]
+                chunks.append(self.forward(batch).data)
         if was_training:
             self.train()
         return np.concatenate(chunks, axis=0)

@@ -9,7 +9,7 @@ plays the role of the public BERT checkpoint.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class TransformerExtractor(FeatureExtractor):
                  hidden: Optional[int] = None, max_len: int = 64,
                  dropout: float = 0.0):
         super().__init__(vocab, max_len, feature_dim=dim)
+        if num_layers < 1:
+            raise ValueError("num_layers must be >= 1")
         hidden = hidden or 2 * dim
         self.dim = dim
         self.token_embedding = Embedding(len(vocab), dim, rng,
@@ -77,23 +79,38 @@ class TransformerExtractor(FeatureExtractor):
         shared = seen[0] & seen[1]
         return (shared[rows, ids] & eligible).astype(np.int64)
 
-    def hidden_states(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Per-token states (N, T, dim) — used by MLM and the ED decoder."""
-        n, t = ids.shape
+    def _embed(self, ids: np.ndarray,
+               mask: np.ndarray) -> Tuple[Tensor, np.ndarray]:
+        """Input embeddings (N, T, dim) and the additive attention mask."""
+        t = ids.shape[1]
         if t > self.max_len:
             raise ValueError(f"sequence length {t} exceeds max_len "
                              f"{self.max_len}")
         overlap = self.overlap_indicators(ids)
         x = (self.token_embedding(ids) + self.position_embedding[:t]
              + self.overlap_embedding(overlap))
-        bias = additive_mask(mask)
+        return x, additive_mask(mask)
+
+    def hidden_states(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        """Per-token states (N, T, dim) — used by MLM pre-training."""
+        x, bias = self._embed(ids, mask)
         for layer in self.layers:
             x = layer(x, bias)
         return self.final_norm(x)
 
     def encode(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        states = self.hidden_states(ids, mask)
-        return states[:, 0, :]  # the [CLS] position
+        """The [CLS] features (N, dim): ``hidden_states(ids, mask)[:, 0]``.
+
+        Only the [CLS] row is computed past the last block's keys and
+        values (:meth:`TransformerEncoderLayer.first_position`), in
+        training and inference alike: the other rows never reach a loss.
+        """
+        x, bias = self._embed(ids, mask)
+        *body, last = self.layers
+        for layer in body:
+            x = layer(x, bias)
+        first = self.final_norm(last.first_position(x, bias))
+        return first.reshape(ids.shape[0], self.dim)
 
 
 class MlmHead(Linear):

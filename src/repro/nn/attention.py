@@ -122,6 +122,22 @@ class TransformerEncoderLayer(Module):
         x = x + self.dropout(self.feed_forward(self.norm2(x)))
         return x
 
+    def first_position(self, x: Tensor,
+                       bias: Optional[np.ndarray] = None) -> Tensor:
+        """This block's output at position 0 only, shape (N, 1, dim).
+
+        Keys and values still cover every position; the query and the
+        residual stream stop at row 0 before attention, so the FFN and
+        both norms after it run on one row.  Only attention mixes
+        positions, so the row equals ``forward(x, bias)[:, :1]`` up to
+        GEMM-shape rounding, gradients included.
+        """
+        normed = self.norm1(x)
+        first = x[:, :1]
+        first = first + self.dropout(
+            self.attention(normed[:, :1], normed, normed, bias))
+        return first + self.dropout(self.feed_forward(self.norm2(first)))
+
 
 class TransformerDecoderLayer(Module):
     """Pre-norm decoder block: causal self-attention + cross-attention."""

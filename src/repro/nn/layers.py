@@ -90,9 +90,8 @@ class Dropout(Module):
     """Inverted dropout; a *structural* identity in eval mode.
 
     Eval (or zero-rate) forwards return the input tensor itself rather than
-    dispatching through :func:`repro.nn.functional.dropout`, so traced
-    inference graphs contain no dead op and ``module(x) is x`` holds — the
-    property the compiled-path tests pin.
+    dispatching through :func:`repro.nn.functional.dropout`, so inference
+    graphs contain no dead op and ``module(x) is x`` holds.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator):

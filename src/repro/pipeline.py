@@ -21,7 +21,7 @@ from .blocking import OverlapBlocker
 from .data import Entity, EntityPair
 from .extractors import TransformerExtractor
 from .matcher import MlpMatcher
-from .nn import load_state, save_state
+from .nn import load_state, no_grad, save_state
 from .text import Vocabulary
 
 
@@ -83,9 +83,10 @@ class ERPipeline:
             scheduler = BatchScheduler.reference(
                 self.extractor.vocab, self.extractor.max_len, batch_size)
         probabilities = np.full(len(pairs), np.nan, dtype=np.float64)
-        for batch in scheduler.schedule(pairs):
-            batch.scatter(probabilities, self.matcher.probabilities(
-                self.extractor.encode(batch.ids, batch.mask)))
+        with no_grad():
+            for batch in scheduler.schedule(pairs):
+                batch.scatter(probabilities, self.matcher.probabilities(
+                    self.extractor.encode(batch.ids, batch.mask)))
         missing = np.flatnonzero(np.isnan(probabilities))
         if missing.size:
             raise RuntimeError(

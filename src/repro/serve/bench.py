@@ -22,7 +22,6 @@ run over run.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import platform
 import shutil
@@ -220,144 +219,10 @@ def _run_cache_passes(pipeline: ERPipeline, pipeline_dir: Path,
     }
 
 
-def _assert_compiled_equivalent(compiled_decisions, tape_decisions,
-                                label: str) -> float:
-    """The compiled-vs-tape gate: identical decisions, probs <= 1e-9.
-
-    The fused QKV projection legitimately moves the last ulp (exactly like
-    BLAS kernel selection across batch compositions, §6b), so this is the
-    same standard the scheduler-equivalence race pinned — never a weaker
-    one: the match/non-match decision must be **bit-identical**.
-    """
-    assert [d.is_match for d in compiled_decisions] == \
-        [d.is_match for d in tape_decisions], \
-        f"{label}: compiled path flips a decision against the tape"
-    diff = max((abs(a.probability - b.probability)
-                for a, b in zip(compiled_decisions, tape_decisions)),
-               default=0.0)
-    assert diff <= 1e-9, \
-        f"{label}: compiled path drifts {diff} from the tape"
-    return diff
-
-
-def _run_compiled_pass(pipeline: ERPipeline, pipeline_dir: Path,
-                       pairs: List[EntityPair], tape_decisions,
-                       num_workers: int, seed: int,
-                       lm_kwargs: Optional[dict]) -> Dict:
-    """Race the trace-and-replay path against the tape on every engine.
-
-    Four gates before any number lands in the report:
-
-    * compiled sequential decisions are decision-identical / <= 1e-9 in
-      probability against the tape sequential run (fused attention cannot
-      be bit-equal; the decision threshold must be);
-    * a second compiled sequential run over the same engine is
-      **bit-identical** to the first — replay over reused buffers is
-      deterministic;
-    * the compiled parallel engine is **bit-identical** to the compiled
-      sequential engine (same programs, same scheduler);
-    * a live daemon serving compiled engines survives a mid-run hot swap
-      with every reply bit-identical to a compiled sequential scorer on
-      whichever snapshot answered (see :func:`_run_daemon_bench`) — the
-      digest-keyed program cache provably never replays stale weights.
-
-    Reported: per-engine pairs/sec + speedup over the tape, program-cache
-    stats, and per-op attribution for both paths (tape via
-    :class:`~repro.telemetry.AutogradProfiler`, compiled via the program's
-    own step profile).  The speedup is measured as an **interleaved
-    best-of-3 race** — tape pass, compiled pass, repeat — so both sides
-    see the same machine state; comparing against the pass-1 tape number
-    taken minutes earlier would fold ambient load into the ratio.
-    """
-    import time as _time
-
-    from ..telemetry import AutogradProfiler
-
-    # Per-op attribution of the tape path over a slice of the workload —
-    # the "before" table the compiled path is judged against.
-    profiler_scorer = SequentialScorer(pipeline)
-    with AutogradProfiler() as profiler:
-        profiler_scorer.score_pairs(pairs[:min(len(pairs), 512)])
-    tape_attribution = profiler.records(12)
-
-    # Sequential: one recording pass (program compiles amortize away in
-    # steady-state serving), then the timed replay race.
-    sequential = SequentialScorer(pipeline, compiled=True)
-    first = sequential.score_pairs(pairs)
-    max_diff = _assert_compiled_equivalent(first, tape_decisions,
-                                           "compiled sequential")
-    assert sequential.compiled is not None
-
-    tape_scorer = SequentialScorer(pipeline)
-    best_tape = best_compiled = float("inf")
-    replay_decisions = first
-    with span("serve.compiled_pass", num_pairs=len(pairs)):
-        for __ in range(3):
-            started = _time.perf_counter()
-            tape_scorer.score_pairs(pairs)
-            best_tape = min(best_tape, _time.perf_counter() - started)
-            started = _time.perf_counter()
-            replay_decisions = sequential.score_pairs(pairs)
-            best_compiled = min(best_compiled,
-                                _time.perf_counter() - started)
-    assert replay_decisions == first, \
-        "compiled replay is not bit-identical run-to-run over the same " \
-        "buffers"
-    sequential_metrics = sequential.last_metrics
-    tape_pps = len(pairs) / best_tape if best_tape else 0.0
-
-    # One more (unraced) pass with per-kernel timing for the attribution
-    # table — profiling instruments every step, so it never races.
-    sequential.compiled.enable_profile()
-    assert sequential.score_pairs(pairs) == first
-    stats = dict(sequential.compiled.stats)
-    compiled_attribution = sequential.compiled.attribution(12)
-    shapes = ["x".join(str(d) for d in shape)
-              for shape in sequential.compiled.compiled_shapes]
-
-    # Parallel: every worker thread records its own programs; decisions
-    # must be bit-identical to the compiled sequential engine.
-    with ParallelScorer(pipeline_dir, num_workers=num_workers,
-                        compiled=True) as scorer:
-        parallel_decisions = scorer.score_pairs(pairs)
-        parallel_metrics = scorer.last_metrics
-    assert parallel_decisions == replay_decisions, \
-        "compiled parallel engine deviates bit-wise from compiled sequential"
-
-    # Daemon: compiled engines behind a live hot swap.
-    daemon_record = _run_daemon_bench(
-        pipeline, pipeline_dir, num_clients=4, requests_per_client=4,
-        pairs_per_request=8, seed=seed, lm_kwargs=lm_kwargs, compiled=True)
-
-    compiled_pps = (len(pairs) / best_compiled if best_compiled
-                    else sequential_metrics.pairs_per_second)
-    record = {
-        # asserted above, recorded for readers:
-        "bit_identical": True,
-        "max_abs_diff_vs_tape": max_diff,
-        "speedup": compiled_pps / tape_pps if tape_pps else 0.0,
-        "pairs_per_second": {
-            "tape_sequential": tape_pps,
-            "compiled_sequential": compiled_pps,
-            "compiled_parallel": parallel_metrics.pairs_per_second,
-        },
-        "programs": {**stats, "shapes": shapes},
-        "attribution": {"tape": tape_attribution,
-                        "compiled": compiled_attribution},
-        "daemon": daemon_record,
-    }
-    metrics = [dataclasses.replace(sequential_metrics,
-                                   engine="sequential-compiled"),
-               dataclasses.replace(parallel_metrics,
-                                   engine="parallel-compiled")]
-    return {"record": record, "metrics": metrics}
-
-
 def _run_daemon_bench(pipeline: ERPipeline, pipeline_dir: Path,
                       num_clients: int, requests_per_client: int,
                       pairs_per_request: int, seed: int,
-                      lm_kwargs: Optional[dict],
-                      compiled: bool = False) -> Dict:
+                      lm_kwargs: Optional[dict]) -> Dict:
     """Drive a live daemon with concurrent clients and a mid-run hot swap.
 
     ``num_clients`` threads each send ``requests_per_client`` small
@@ -373,13 +238,6 @@ def _run_daemon_bench(pipeline: ERPipeline, pipeline_dir: Path,
 
     Reported: p50/p95/mean end-to-end request latency, merge efficiency,
     throughput, and the swap record.
-
-    With ``compiled`` the daemon serves trace-and-replay engines; replies
-    are asserted bit-identical to a *compiled* sequential scorer on the
-    serving snapshot (replay is deterministic), and each compiled
-    expectation is additionally gated decision-identical / <= 1e-9 against
-    the tape scorer — so the mid-run hot swap proves the program cache
-    (keyed by snapshot digest) never replays the old weights.
     """
     import threading
 
@@ -402,24 +260,16 @@ def _run_daemon_bench(pipeline: ERPipeline, pipeline_dir: Path,
                  for t in range(num_templates)]
     expected = {
         pipe.manifest_digest: [
-            SequentialScorer(pipe, compiled=compiled).score_pairs(template)
+            SequentialScorer(pipe).score_pairs(template)
             for template in templates]
         for pipe in (pipeline, swapped)
     }
-    if compiled:
-        # Gate the compiled expectations themselves against the tape before
-        # any reply is compared to them: identical decisions, <= 1e-9.
-        for pipe in (pipeline, swapped):
-            tape = [SequentialScorer(pipe).score_pairs(template)
-                    for template in templates]
-            for want, got in zip(tape, expected[pipe.manifest_digest]):
-                _assert_compiled_equivalent(got, want, "daemon template")
 
     # Cache-less on purpose: a shared cache serves partial hits, which
     # shrinks the residual batch a request scores and so changes its
     # composition — the bit-identity gate below must compare equal
     # compositions.  Cache equivalence has its own passes (``"cache"``).
-    registry = ModelRegistry(compiled=compiled)
+    registry = ModelRegistry()
     registry.publish("default", pipeline_dir)
     config = DaemonConfig(flush_interval=0.005)
     latencies: List[float] = []
@@ -491,7 +341,6 @@ def _run_daemon_bench(pipeline: ERPipeline, pipeline_dir: Path,
         "num_clients": num_clients,
         "requests_per_client": requests_per_client,
         "pairs_per_request": pairs_per_request,
-        "compiled": compiled,
         # asserted above, recorded for readers:
         "bit_identical_to_sequential": True,
         "failed_requests": 0,
@@ -607,8 +456,7 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
                     pairs_per_request: int = 8,
                     risk: bool = False, risk_band: str = "0.25:0.75",
                     telemetry: bool = False,
-                    trace_dir: Union[str, Path] = DEFAULT_TRACE_DIR,
-                    compiled: bool = False) -> Dict:
+                    trace_dir: Union[str, Path] = DEFAULT_TRACE_DIR) -> Dict:
     """Run the three-engine race and write ``BENCH_serve.json``.
 
     Returns the report dict (also persisted atomically to ``output``).
@@ -640,15 +488,6 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
     report's ``"risk"`` key — after asserting the routed decisions are
     bit-identical to the unrouted run.  ``risk_band`` sets the review band
     as ``"LOW:HIGH"``.
-
-    With ``compiled=True`` an extra pass races the trace-and-replay
-    inference path (:mod:`repro.nn.compiled`) against the tape across the
-    sequential, parallel, and daemon engines — including a mid-run hot
-    swap, so the digest-keyed program cache provably recompiles — and the
-    report gains a ``"compiled"`` section with per-op attribution (tape
-    vs replay), program-cache stats, and the measured speedup.  Decisions
-    are asserted bit-identical (probabilities <= 1e-9) before any number
-    is reported.
 
     With ``telemetry=True`` the race runs inside a
     :class:`repro.telemetry.TelemetrySession`: every engine's spans are
@@ -698,18 +537,7 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
         metrics = [reference_metrics, sequential.last_metrics,
                    parallel_metrics]
 
-        # 4. optional compiled pass: trace-and-replay vs the tape across
-        #    sequential, parallel, and a hot-swapped daemon — see
-        #    _run_compiled_pass.
-        compiled_record = None
-        if compiled:
-            compiled_result = _run_compiled_pass(
-                pipeline, pipeline_dir, pairs, sequential_decisions,
-                num_workers, seed, lm_kwargs)
-            compiled_record = compiled_result["record"]
-            metrics.extend(compiled_result["metrics"])
-
-        # 5. optional cache passes over duplicate-heavy traffic (uncached vs
+        # 4. optional cache passes over duplicate-heavy traffic (uncached vs
         #    cold vs warm, sequential and parallel) — see _run_cache_passes.
         cache_record = None
         if cache:
@@ -717,7 +545,7 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
                                              num_pairs, num_workers, seed,
                                              cache_dir)
 
-        # 6. optional daemon pass: N concurrent TCP clients against a live
+        # 5. optional daemon pass: N concurrent TCP clients against a live
         #    daemon, with a mid-run hot swap — see _run_daemon_bench.
         daemon_record = None
         if daemon:
@@ -727,7 +555,7 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
                 pairs_per_request=pairs_per_request, seed=seed,
                 lm_kwargs=lm_kwargs)
 
-        # 7. optional risk pass: calibrate the snapshot, route the workload
+        # 6. optional risk pass: calibrate the snapshot, route the workload
         #    through a RiskRouter + durable review queue, record routing
         #    rates and queue throughput — see _run_risk_pass.  Runs last
         #    because calibration changes the snapshot's manifest digest.
@@ -759,8 +587,6 @@ def run_serve_bench(num_pairs: int = 10000, num_workers: int = 4,
         "max_abs_diff_vs_reference": max_diff,
         "engines": engines,
     }
-    if compiled_record is not None:
-        report["compiled"] = compiled_record
     if cache_record is not None:
         report["cache"] = cache_record
     if daemon_record is not None:
@@ -787,23 +613,6 @@ def format_report(report: Dict) -> str:
             f"p95 {record['p95_batch_seconds'] * 1e3:6.1f} ms  "
             f"util {record['worker_utilization'] * 100:5.1f}%  "
             f"speedup {record['speedup_vs_reference']:.2f}x")
-    comp = report.get("compiled")
-    if comp:
-        programs = comp["programs"]
-        top_tape = comp["attribution"]["tape"][:1]
-        top_comp = comp["attribution"]["compiled"][:1]
-        hot = (f", hottest op {top_tape[0]['op']} -> "
-               f"{top_comp[0]['op']}" if top_tape and top_comp else "")
-        lines.append(
-            f"  compiled path: decisions bit-identical "
-            f"(probs <= {comp['max_abs_diff_vs_tape']:.1e}), "
-            f"{comp['pairs_per_second']['compiled_sequential']:.0f} pairs/s "
-            f"({comp['speedup']:.2f}x vs tape), "
-            f"{programs['compiles']} program(s) over "
-            f"{len(programs['shapes'])} shape(s), "
-            f"{programs['fallbacks']} fallback(s){hot}; daemon hot swap "
-            f"served {comp['daemon']['hot_swap']['served_old']}->"
-            f"{comp['daemon']['hot_swap']['served_new']} requests")
     cached = report.get("cache")
     if cached:
         tier = (f"persistent ({cached['persistent_dir']})"

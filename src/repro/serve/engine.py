@@ -54,7 +54,6 @@ from ..artifacts import ArtifactStore
 from ..blocking import CandidateStream
 from ..data import Entity, EntityPair
 from ..nn import no_grad
-from ..nn.compiled import CompiledInference
 from ..pipeline import ERPipeline, MatchDecision
 from .cache import ScoreCache, pair_key
 from .metrics import ServeMetrics, ThroughputMeter
@@ -262,18 +261,13 @@ class SequentialScorer(RequestScorer):
     def __init__(self, pipeline: ERPipeline,
                  scheduler: Optional[BatchScheduler] = None,
                  cache: Optional[ScoreCache] = None,
-                 router=None, calibrator=None, compiled: bool = False):
+                 router=None, calibrator=None):
         self.pipeline = pipeline
         self.scheduler = scheduler or _scheduler(pipeline)
         self.cache = cache
         self.router = router
         self.calibrator = calibrator
         self._digest = getattr(pipeline, "manifest_digest", None)
-        #: Trace-and-replay engine (``compiled=True``): programs recorded
-        #: per (digest, bucket shape), transparent tape fallback otherwise.
-        self.compiled: Optional[CompiledInference] = (
-            CompiledInference(pipeline, digest=self._digest)
-            if compiled else None)
         if cache is not None and self._digest is None:
             raise ValueError(
                 "a ScoreCache needs the pipeline's snapshot identity; save "
@@ -283,13 +277,11 @@ class SequentialScorer(RequestScorer):
 
     @classmethod
     def from_directory(cls, directory: Union[str, Path],
-                       cache: Optional[ScoreCache] = None,
-                       router=None, compiled: bool = False,
+                       cache: Optional[ScoreCache] = None, router=None,
                        **scheduler_kwargs) -> "SequentialScorer":
         pipeline, calibrator = _load_pipeline(directory, router)
         return cls(pipeline, _scheduler(pipeline, **scheduler_kwargs),
-                   cache=cache, router=router, calibrator=calibrator,
-                   compiled=compiled)
+                   cache=cache, router=router, calibrator=calibrator)
 
     @property
     def threshold(self) -> float:
@@ -305,21 +297,15 @@ class SequentialScorer(RequestScorer):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _forward(self, batch: ScheduledBatch,
-                 compiled: Optional[CompiledInference]
-                 ) -> Tuple[np.ndarray, float]:
+    def _forward(self, batch: ScheduledBatch) -> Tuple[np.ndarray, float]:
         """One batch's match probabilities and its forward-pass seconds."""
         with telemetry.span("serve.batch", engine=self.engine_name,
                             num_pairs=batch.num_pairs,
                             padded_length=batch.padded_length) as sp:
-            if compiled is not None:
-                probs = compiled.probabilities(batch.ids, batch.mask)
-            else:
-                # Inference never reads the tape — skip building it.
-                with no_grad():
-                    probs = self.pipeline.matcher.probabilities(
-                        self.pipeline.extractor.encode(batch.ids,
-                                                       batch.mask))
+            # Inference never reads the tape — skip building it.
+            with no_grad():
+                probs = self.pipeline.matcher.probabilities(
+                    self.pipeline.extractor.encode(batch.ids, batch.mask))
         return probs, sp.duration
 
     def _collect(self, batch: ScheduledBatch, probs: np.ndarray,
@@ -332,7 +318,7 @@ class SequentialScorer(RequestScorer):
     def _score_batches(self, encoded, positions, keys, probabilities,
                        meter) -> None:
         for batch in self.scheduler.schedule_encoded(encoded, positions):
-            probs, seconds = self._forward(batch, self.compiled)
+            probs, seconds = self._forward(batch)
             self._collect(batch, probs, seconds, keys, probabilities, meter)
 
     def score_tables(self, left_table: Iterable[Entity],
@@ -377,10 +363,8 @@ class ParallelScorer(SequentialScorer):
         :meth:`ERPipeline.save`, loaded once and shared by every thread.
     num_workers:
         Worker threads; must be >= 1.
-    cache / router / compiled:
-        As for :class:`SequentialScorer`.  With ``compiled`` every worker
-        thread records and replays its own programs, because a program's
-        buffers are not re-entrant.
+    cache / router:
+        As for :class:`SequentialScorer`.
     scheduler_kwargs:
         Forwarded to :class:`BatchScheduler` (caps, bucket rounding...).
 
@@ -394,18 +378,15 @@ class ParallelScorer(SequentialScorer):
 
     def __init__(self, pipeline: Union[ERPipeline, str, Path],
                  num_workers: int = 4,
-                 cache: Optional[ScoreCache] = None,
-                 router=None, compiled: bool = False,
+                 cache: Optional[ScoreCache] = None, router=None,
                  **scheduler_kwargs):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         pipeline, calibrator = _load_pipeline(pipeline, router)
         super().__init__(pipeline, _scheduler(pipeline, **scheduler_kwargs),
-                         cache=cache, router=router, calibrator=calibrator,
-                         compiled=compiled)
+                         cache=cache, router=router, calibrator=calibrator)
         self.num_workers = num_workers
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
@@ -424,15 +405,6 @@ class ParallelScorer(SequentialScorer):
     def _meter_workers(self) -> int:
         return self.num_workers
 
-    def _start_worker(self) -> None:
-        self._local.compiled = (
-            CompiledInference(self.pipeline, digest=self._digest)
-            if self.compiled is not None else None)
-
-    def _worker_forward(self, batch: ScheduledBatch
-                        ) -> Tuple[np.ndarray, float]:
-        return self._forward(batch, self._local.compiled)
-
     def _submit(self, batches: List[ScheduledBatch]) -> List[Future]:
         with self._lock:
             if self._closed:
@@ -441,12 +413,11 @@ class ParallelScorer(SequentialScorer):
                     "instead of reusing one whose threads were joined")
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    self.num_workers, thread_name_prefix="repro-score",
-                    initializer=self._start_worker)
+                    self.num_workers, thread_name_prefix="repro-score")
             # One context copy per batch (a context runs in one thread at
             # a time): the batch's span nests under this request's run.
             return [self._executor.submit(contextvars.copy_context().run,
-                                          self._worker_forward, batch)
+                                          self._forward, batch)
                     for batch in batches]
 
     def _score_batches(self, encoded, positions, keys, probabilities,

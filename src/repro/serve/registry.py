@@ -125,14 +125,9 @@ class ModelRegistry:
     """
 
     def __init__(self, cache: Optional[ScoreCache] = None,
-                 router=None, compiled: bool = False,
-                 **scheduler_kwargs):
+                 router=None, **scheduler_kwargs):
         self.cache = cache
         self.router = router
-        #: Build every tenant engine on the trace-and-replay path.  Programs
-        #: are keyed by snapshot digest, so a hot swap recompiles instead of
-        #: replaying stale weights.
-        self.compiled = compiled
         self.scheduler_kwargs = dict(scheduler_kwargs)
         self._lock = threading.RLock()
         self._tenants: Dict[str, _Generation] = {}
@@ -144,11 +139,9 @@ class ModelRegistry:
         if num_workers > 0:
             return ParallelScorer(directory, num_workers=num_workers,
                                   cache=self.cache, router=self.router,
-                                  compiled=self.compiled,
                                   **self.scheduler_kwargs)
         return SequentialScorer.from_directory(directory, cache=self.cache,
                                                router=self.router,
-                                               compiled=self.compiled,
                                                **self.scheduler_kwargs)
 
     def publish(self, domain: str, directory: Union[str, Path],

@@ -10,7 +10,7 @@ import numpy as np
 from ..data import ERDataset
 from ..extractors import FeatureExtractor
 from ..matcher import MlpMatcher
-from ..nn import Tensor
+from ..nn import no_grad
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,10 @@ def predict_dataset(extractor: FeatureExtractor, matcher: MlpMatcher,
     extractor.eval()
     matcher.eval()
     predictions = []
-    for start in range(0, len(dataset), batch_size):
-        batch = dataset.pairs[start:start + batch_size]
-        features = extractor(batch)
-        predictions.append(matcher.predict(features))
+    with no_grad():
+        for start in range(0, len(dataset), batch_size):
+            batch = dataset.pairs[start:start + batch_size]
+            predictions.append(matcher.predict(extractor(batch)))
     if extractor_mode:
         extractor.train()
     if matcher_mode:

@@ -316,22 +316,18 @@ class TestScorerEdgeCases:
             assert outcome["decisions"] == expected
 
     def test_thread_stress_stays_bit_identical(self, snapshot_dir):
-        """More threads than cores, a tiny switch interval, both inference
-        paths: a lost update anywhere in the shared state (the pipeline,
-        per-thread program buffers, the recording patches) moves a bit."""
+        """More threads than cores and a tiny switch interval: a lost
+        update anywhere in the state the threads share (the pipeline, the
+        grad-mode and span context variables) moves a bit."""
         pairs = _ragged_pairs(80, seed=3)
         outcome = {}
 
         def race():
-            for compiled in (False, True):
-                with ParallelScorer(snapshot_dir, num_workers=4,
-                                    max_batch_pairs=4,
-                                    compiled=compiled) as scorer:
-                    expected = SequentialScorer(
-                        scorer.pipeline, scorer.scheduler,
-                        compiled=compiled).score_pairs(pairs)
-                    outcome[compiled] = (scorer.score_pairs(pairs),
-                                         expected)
+            with ParallelScorer(snapshot_dir, num_workers=4,
+                                max_batch_pairs=4) as scorer:
+                expected = SequentialScorer(
+                    scorer.pipeline, scorer.scheduler).score_pairs(pairs)
+                outcome["decisions"] = (scorer.score_pairs(pairs), expected)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -342,6 +338,5 @@ class TestScorerEdgeCases:
         finally:
             sys.setswitchinterval(interval)
         assert not thread.is_alive(), "thread stress run did not finish"
-        for compiled, (got, expected) in outcome.items():
-            assert got == expected, f"compiled={compiled} drifted"
-        assert set(outcome) == {False, True}
+        got, expected = outcome["decisions"]
+        assert got == expected

@@ -314,3 +314,15 @@ class TestScoreTables:
         expected = [(d.left_id, d.right_id) for d in decisions
                     if d.probability >= scorer.threshold]
         assert matches == expected
+
+
+def test_importing_serve_does_not_load_scipy():
+    # Only t-SNE and the mixing score use scipy; a scoring process (every
+    # daemon and benchmark worker) must not pay for importing it.
+    import subprocess
+    import sys
+    code = ("import sys, repro, repro.serve; "
+            "sys.exit(1 if 'scipy' in sys.modules else 0)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr or "scipy was imported"
