@@ -7,14 +7,13 @@ Subcommands::
     python -m repro table2
     python -m repro adapt dblp_acm dblp_scholar --aligner mmd --scale 0.1
     python -m repro distance books2 fodors_zagats
-    python -m repro serve-bench --pairs 10000 --workers 4 --telemetry
     python -m repro serve --snapshot prod=snapshots/prod --port 7461
     python -m repro serve --snapshot prod=snap --risk-band 0.25:0.75
     python -m repro risk-calibrate snapshots/prod --valid-csv valid.csv
     python -m repro risk-adapt snapshots/prod --queue review-queue \
         --valid-csv valid.csv --publish 127.0.0.1:7461
     python -m repro risk-report --queue review-queue --snapshot snapshots/prod
-    python -m repro scenarios --aligners mmd,grl --workers 4
+    python -m repro scenarios --aligners mmd,grl
     python -m repro e2e-bench --records 1000000 --workers 4
     python -m repro trace-summary adapt_fz_am_mmd
 
@@ -104,59 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     distance.add_argument("target")
     distance.add_argument("--scale", type=float, default=0.1)
     _add_lm_arguments(distance)
-
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="race the serve engines (sequential reference vs batched vs "
-             "parallel) and write BENCH_serve.json")
-    serve_bench.add_argument("--pairs", type=int, default=10000,
-                             help="candidate pairs to score (default 10000)")
-    serve_bench.add_argument("--workers", type=int, default=4,
-                             help="parallel engine worker threads "
-                                  "(default 4)")
-    serve_bench.add_argument("--batch-size", type=int, default=64,
-                             help="reference-path batch size (default 64)")
-    serve_bench.add_argument("--output", default="BENCH_serve.json",
-                             help="report path (default BENCH_serve.json)")
-    serve_bench.add_argument("--pipeline-dir", default=None,
-                             help="where to persist the bench pipeline "
-                                  "snapshot (default .cache/serve_bench_pipeline)")
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--cache", dest="cache", action="store_true",
-                             default=True,
-                             help="race the content-addressed score cache "
-                                  "on duplicate-heavy traffic and record "
-                                  "hit rates + warm speedup (default on)")
-    serve_bench.add_argument("--no-cache", dest="cache", action="store_false",
-                             help="skip the score-cache passes")
-    serve_bench.add_argument("--cache-dir", default=None,
-                             help="exercise the persistent cache tier: "
-                                  "empty this directory, flush cold-pass "
-                                  "scores to it and serve the warm pass "
-                                  "from a fresh cache over the same shard")
-    serve_bench.add_argument("--daemon", action="store_true",
-                             help="also run the online-daemon pass: N "
-                                  "concurrent TCP clients against a live "
-                                  "repro serve daemon with a mid-run "
-                                  "zero-downtime hot swap")
-    serve_bench.add_argument("--clients", type=int, default=8,
-                             help="concurrent daemon clients (default 8)")
-    serve_bench.add_argument("--risk", action="store_true",
-                             help="also run the risk pass: calibrate the "
-                                  "snapshot, route the workload through a "
-                                  "RiskRouter + durable review queue, and "
-                                  "record routing rates and queue "
-                                  "throughput (decisions asserted "
-                                  "bit-identical to the unrouted run)")
-    serve_bench.add_argument("--risk-band", default="0.25:0.75",
-                             metavar="LOW:HIGH",
-                             help="review band for the risk pass "
-                                  "(default 0.25:0.75)")
-    serve_bench.add_argument("--telemetry", action="store_true",
-                             help="trace the race and embed a metrics "
-                                  "snapshot into the report")
-    serve_bench.add_argument("--trace-dir", default="traces",
-                             help="trace export directory (default traces)")
 
     serve = commands.add_parser(
         "serve",
@@ -264,9 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios",
         help="score the aligners across the EMBer-style 4x2 scenario grid "
              "(vanilla / record linking / cluster-focused / open matching, "
-             "balanced + imbalanced), route every stream through the serve "
-             "engines with bit-identity asserted, and write "
-             "BENCH_scenarios.json")
+             "balanced + imbalanced) and write BENCH_scenarios.json")
     scenarios.add_argument("--target", default="fodors_zagats",
                            help="dataset spec the cluster corpus renders "
                                 "(default fodors_zagats)")
@@ -284,16 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="source dataset scale (default 0.2)")
     scenarios.add_argument("--epochs", type=int, default=6)
     scenarios.add_argument("--seed", type=int, default=0)
-    scenarios.add_argument("--workers", type=int, default=4,
-                           help="parallel-scorer worker threads (default 4)")
     scenarios.add_argument("--output", default="BENCH_scenarios.json",
                            help="report path (default BENCH_scenarios.json)")
-    scenarios.add_argument("--pipeline-dir", default=None,
-                           help="where to persist the served pipeline "
-                                "snapshot (default .cache/scenarios_pipeline)")
-    scenarios.add_argument("--skip-serve", action="store_true",
-                           help="score the grid only; skip the serve-path "
-                                "equivalence pass")
     _add_lm_arguments(scenarios)
 
     e2e_bench = commands.add_parser(
@@ -421,24 +357,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .serve import format_report, run_serve_bench
-    report = run_serve_bench(num_pairs=args.pairs, num_workers=args.workers,
-                             pipeline_dir=args.pipeline_dir,
-                             output=args.output, batch_size=args.batch_size,
-                             seed=args.seed,
-                             cache=args.cache, cache_dir=args.cache_dir,
-                             daemon=args.daemon, num_clients=args.clients,
-                             risk=args.risk, risk_band=args.risk_band,
-                             telemetry=args.telemetry,
-                             trace_dir=args.trace_dir)
-    print(format_report(report))
-    if "telemetry" in report:
-        print(f"trace written to {report['telemetry']['trace']}")
-    print(f"report written to {args.output}")
-    return 0
-
-
 def cmd_e2e_bench(args: argparse.Namespace) -> int:
     from .scale import format_e2e_report, run_e2e_bench
     report = run_e2e_bench(records=args.records, num_workers=args.workers,
@@ -512,9 +430,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         target=args.target, source=args.source, aligners=aligners,
         num_families=args.num_families, num_pairs=args.num_pairs,
         source_scale=args.source_scale, seed=args.seed, epochs=args.epochs,
-        num_workers=args.workers, serve=not args.skip_serve,
-        pipeline_dir=args.pipeline_dir, output=args.output,
-        lm_kwargs=_lm_kwargs(args))
+        output=args.output, lm_kwargs=_lm_kwargs(args))
     print(format_scenarios_report(payload))
     print(f"report written to {args.output}")
     return 0
@@ -606,8 +522,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_adapt(args)
     if args.command == "distance":
         return cmd_distance(args)
-    if args.command == "serve-bench":
-        return cmd_serve_bench(args)
     if args.command == "serve":
         return cmd_serve(args)
     if args.command == "scenarios":

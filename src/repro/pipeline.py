@@ -96,11 +96,6 @@ class ERPipeline:
                               float(p))
                 for pair, p in zip(pairs, probabilities)]
 
-    def __call__(self, pairs: Sequence[EntityPair],
-                 batch_size: int = 64) -> List[MatchDecision]:
-        """Sequential reference scoring — alias for :meth:`score_pairs`."""
-        return self.score_pairs(pairs, batch_size)
-
     def match_tables(self, left_table: Sequence[Entity],
                      right_table: Sequence[Entity],
                      batch_size: int = 64) -> List[Tuple[str, str]]:

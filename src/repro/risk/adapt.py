@@ -116,7 +116,7 @@ def label_from_item(pair: EntityPair, item: Dict[str, Any]) -> Optional[int]:
 
 
 def equality_oracle(pair: EntityPair, item: Dict[str, Any]) -> Optional[int]:
-    """Attribute-equality oracle for tests, the bench, and the smoke."""
+    """Label by attribute equality (tests, smoke, ``--oracle-equality``)."""
     return int(pair.left.attributes == pair.right.attributes)
 
 

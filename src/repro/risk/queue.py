@@ -196,7 +196,7 @@ class ReviewQueue:
         return len(self.pending())
 
     def stats(self) -> Dict[str, Any]:
-        """Durable queue state for ``repro risk-report`` and the bench."""
+        """Durable queue state for ``repro risk-report`` and the router."""
         pending = self.pending()
         acked = self.acked_through()
         return {

@@ -4,7 +4,7 @@ Everything rendered here is read from disk (queue segments + cursor,
 snapshot calibration, worker history), so the report works on a live
 deployment, after a crash, or in a post-mortem — no running process
 required.  In-process ``risk.*`` registry counters are appended when the
-caller happens to share a process with the router (the bench does).
+caller happens to share a process with the router.
 """
 
 from __future__ import annotations

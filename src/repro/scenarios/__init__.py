@@ -7,15 +7,13 @@ ever saw — usually under heavy label skew.  This package derives exactly
 that grid (4 scenarios x {balanced, imbalanced}, after the EMBer benchmark,
 arXiv 2205.05889) from one cluster-structured synthetic corpus
 (:func:`repro.datasets.generate_corpus`), scores every Table 1 aligner
-across it (:func:`run_harness`), and benchmarks the serving stack on the
-resulting streams (:func:`run_scenarios_bench`, the ``repro scenarios``
-CLI) with decisions asserted bit-identical to the direct pipeline.
+across it (:func:`run_harness`), and reports the grid's scores
+(:func:`run_scenarios_bench`, the ``repro scenarios`` CLI).
 
 See ``DESIGN.md`` §12 for the corpus → grid → metrics derivation.
 """
 
-from .bench import (DEFAULT_OUTPUT, DEFAULT_PIPELINE_DIR, REFERENCE_ATOL,
-                    format_scenarios_report, run_scenarios_bench)
+from .bench import DEFAULT_OUTPUT, format_scenarios_report, run_scenarios_bench
 from .grid import (DEFAULT_PAIRS, POSITIVE_RATE_TOLERANCE, POSITIVE_RATES,
                    SCENARIOS, VARIANTS, Scenario, adaptation_dataset,
                    build_grid, build_scenario, grid_stats)
@@ -35,6 +33,5 @@ __all__ = [
     "SCENARIO_GOLDEN_RECIPE", "SCENARIO_GOLDEN_EPOCHS",
     "scenario_golden_config", "scenario_golden_run", "scenario_golden_path",
     "load_scenario_golden", "compare_scenario_runs",
-    "run_scenarios_bench", "format_scenarios_report", "REFERENCE_ATOL",
-    "DEFAULT_OUTPUT", "DEFAULT_PIPELINE_DIR",
+    "run_scenarios_bench", "format_scenarios_report", "DEFAULT_OUTPUT",
 ]

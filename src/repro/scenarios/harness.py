@@ -105,15 +105,12 @@ def run_harness(target: str = "fodors_zagats", source: str = "books2",
                 num_pairs: int = DEFAULT_PAIRS,
                 source_scale: float = 0.2, seed: int = 0,
                 config: Optional[TrainConfig] = None,
-                lm_kwargs: Optional[dict] = None,
-                keep_results: bool = False) -> ScenarioReport:
+                lm_kwargs: Optional[dict] = None) -> ScenarioReport:
     """Adapt every requested aligner and score it across the grid.
 
     One corpus, one fixed ``seed``, deterministic end to end: the corpus,
     the grid cells, the adaptation target, and every training run derive
-    from it.  ``keep_results`` retains each aligner's
-    :class:`~repro.train.AdaptationResult` on the report (``.results``)
-    so callers can persist an adapted pipeline for serving.
+    from it.
     """
     from ..api import adapt  # local: api imports repro.train at module load
     unknown = [a for a in aligners if a not in SCENARIO_ALIGNERS]
@@ -127,16 +124,12 @@ def run_harness(target: str = "fodors_zagats", source: str = "books2",
     source_data: ERDataset = load_dataset(source, scale=source_scale,
                                           seed=seed)
     report = ScenarioReport(corpus=corpus, grid=grid)
-    if keep_results:
-        report.results = {}  # type: ignore[attr-defined]
     for aligner in aligners:
         result = adapt(source_data, target_train, aligner=aligner,
                        config=config, seed=seed, lm_kwargs=lm_kwargs)
         report.adaptation_f1[aligner] = result.best_valid_f1
         report.cells.extend(evaluate_grid(aligner, result.extractor,
                                           result.matcher, grid))
-        if keep_results:
-            report.results[aligner] = result  # type: ignore[attr-defined]
         REGISTRY.counter("scenarios.aligners_run").inc()
     REGISTRY.counter("scenarios.harness_runs").inc()
     return report

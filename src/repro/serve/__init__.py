@@ -16,12 +16,12 @@ The production serving layer of the reproduction, in two tiers:
   :class:`DaemonClient` is the blocking TCP client.
 
 See ``DESIGN.md`` ("Serving architecture", "Online serving daemon") for
-the design, and ``python -m repro serve-bench`` for the standing
-throughput + daemon-latency benchmark.
+the design.  Throughput and latency are measured by ``python -m perf
+run``; :func:`build_bench_pipeline` and :func:`synthetic_candidates` are
+test fixtures.
 """
 
-from .bench import (build_bench_pipeline, format_report, run_serve_bench,
-                    synthetic_candidates)
+from .bench import build_bench_pipeline, synthetic_candidates
 from .cache import DEFAULT_CAPACITY, ScoreCache, pair_key
 from .client import DaemonBusy, DaemonClient, DaemonError, ScoredReply
 from .daemon import (BackpressureError, DaemonConfig, DaemonHandle,
@@ -29,7 +29,7 @@ from .daemon import (BackpressureError, DaemonConfig, DaemonHandle,
                      start_daemon_thread)
 from .engine import (STREAM_WINDOW, ParallelScorer, RequestScorer,
                      SequentialScorer, score_tables)
-from .metrics import ServeMetrics, ThroughputMeter, percentile
+from .metrics import ServeMetrics, ThroughputMeter
 from .registry import ModelRegistry, TenantLease, UnknownDomain
 from .request import (DEFAULT_DOMAIN, ScoreRequest, ScoreResponse,
                       as_request)
@@ -45,7 +45,6 @@ __all__ = [
     "ServeDaemon", "DaemonServer", "DaemonConfig", "DaemonHandle",
     "BackpressureError", "serve_forever", "start_daemon_thread",
     "DaemonClient", "DaemonBusy", "DaemonError", "ScoredReply",
-    "ServeMetrics", "ThroughputMeter", "percentile",
-    "run_serve_bench", "build_bench_pipeline", "synthetic_candidates",
-    "format_report",
+    "ServeMetrics", "ThroughputMeter",
+    "build_bench_pipeline", "synthetic_candidates",
 ]

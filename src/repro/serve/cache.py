@@ -22,8 +22,9 @@ matcher probabilities safely memoizable under the key
 Every lookup feeds the ``serve.cache.{hit,miss}`` counters (evictions and
 scheduler dedup land on ``serve.cache.{evict,dedup}``) in the global
 telemetry registry, and the engines wrap their lookup pass in a
-``serve.cache.lookup`` span, so cache efficiency shows up in traces and in
-``BENCH_serve.json`` like every other serving number.
+``serve.cache.lookup`` span, so cache efficiency shows up in traces like
+every other serving number (``python -m perf run`` reports it per layer
+on its ``rescore_cached`` workload).
 
 The cache is **thread/task-safe**: one re-entrant lock guards the LRU
 ``OrderedDict``, the per-digest persistent shards and their dirty counts,

@@ -22,8 +22,8 @@ module is that shape:
   request keeps its own batch composition (BLAS picks GEMM kernels per
   matrix shape, so folding a request into a larger concatenated batch can
   move the last ulp): merged decisions are therefore bit-identical to
-  scoring each request alone, no matter what else was in flight — the
-  daemon bench re-asserts this end to end.
+  scoring each request alone, no matter what else was in flight —
+  ``tests/test_serve_daemon.py`` asserts this across a mid-run hot swap.
 * **Multi-tenant routing + zero-downtime hot swap.**  Requests name a
   domain; a :class:`~repro.serve.registry.ModelRegistry` resolves it to a
   lease-pinned engine.  Republishing a snapshot swaps atomically: in-flight
@@ -47,7 +47,7 @@ The wire protocol is JSON lines over TCP (one object per line, ``op`` =
 ``score`` | ``publish`` | ``domains`` | ``stats`` | ``ping`` |
 ``shutdown``); :class:`~repro.serve.client.DaemonClient` speaks it, and
 :func:`start_daemon_thread` hosts a daemon in-process for tests and the
-bench.
+e2e bench.
 """
 
 from __future__ import annotations

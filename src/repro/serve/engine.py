@@ -19,8 +19,8 @@ runs it, so two engines given the same scheduler produce **bit-identical**
 batch whose forward pass raises fails its whole request with a
 ``RuntimeError`` naming the batch's positions — no partial decision list is
 ever returned — and the engine serves the next request normally.  Every run
-records :class:`~repro.serve.metrics.ServeMetrics` (pairs/sec, p50/p95
-batch latency, worker utilization).
+records :class:`~repro.serve.metrics.ServeMetrics` (pairs, batches, wall
+and busy time, per-run cache counters).
 
 Both engines optionally front their scheduler with a content-addressed
 :class:`~repro.serve.cache.ScoreCache` keyed by ``(manifest digest, token

@@ -1,17 +1,14 @@
-"""Throughput and latency instrumentation for the scoring engines.
+"""Throughput instrumentation for the scoring engines.
 
-Every engine run produces a :class:`ServeMetrics` record — pairs/sec, batch
-latency percentiles, and worker utilization — so perf changes to the hot
-path show up as numbers, not vibes.  ``python -m repro serve-bench`` and
-``benchmarks/test_bench_serve.py`` persist these records to
-``BENCH_serve.json`` to start the perf trajectory.
+Every engine run produces a :class:`ServeMetrics` record — pairs scored,
+batches, wall and busy time, and per-run cache counters.  ``python -m
+perf run`` reads ``busy_seconds`` for its forward-time layer metric.
 
 Timekeeping is delegated to :mod:`repro.telemetry`: the meter's wall clock
 is a ``serve.run`` span (so every scoring run shows up in exported traces
 for free) and each recorded batch feeds the global registry's
 ``serve.pairs`` / ``serve.batches`` counters and ``serve.batch_seconds``
-histogram — the same export path ``serve-bench --telemetry`` embeds into
-``BENCH_serve.json``.
+histogram, which every trace export embeds.
 
 Concurrency: the serving daemon keeps **many meters live at once** (one
 per in-flight run) and may touch one meter from more than one thread, so a
@@ -27,26 +24,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..telemetry import REGISTRY, span
 
 
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
-
-
 @dataclass(frozen=True)
 class ServeMetrics:
-    """Aggregate throughput/latency counters for one scoring run."""
+    """Aggregate throughput counters for one scoring run."""
 
     engine: str
     num_pairs: int
@@ -54,7 +39,6 @@ class ServeMetrics:
     num_workers: int
     wall_seconds: float
     busy_seconds: float  # summed per-batch compute time across workers
-    batch_latencies: List[float] = field(default_factory=list)
     #: Per-run score-cache counters (hits/misses/hit_rate...); empty when
     #: the engine ran without a :class:`repro.serve.cache.ScoreCache`.
     cache: Dict[str, Any] = field(default_factory=dict)
@@ -63,38 +47,9 @@ class ServeMetrics:
     def pairs_per_second(self) -> float:
         return self.num_pairs / self.wall_seconds if self.wall_seconds else 0.0
 
-    @property
-    def p50_batch_seconds(self) -> float:
-        return percentile(self.batch_latencies, 50.0)
-
-    @property
-    def p95_batch_seconds(self) -> float:
-        return percentile(self.batch_latencies, 95.0)
-
-    @property
-    def worker_utilization(self) -> float:
-        """Fraction of worker wall-time spent computing (1.0 = saturated)."""
-        budget = self.wall_seconds * max(1, self.num_workers)
-        return self.busy_seconds / budget if budget else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine,
-            "num_pairs": self.num_pairs,
-            "num_batches": self.num_batches,
-            "num_workers": self.num_workers,
-            "wall_seconds": self.wall_seconds,
-            "busy_seconds": self.busy_seconds,
-            "pairs_per_second": self.pairs_per_second,
-            "p50_batch_seconds": self.p50_batch_seconds,
-            "p95_batch_seconds": self.p95_batch_seconds,
-            "worker_utilization": self.worker_utilization,
-            "cache": dict(self.cache),
-        }
-
 
 class ThroughputMeter:
-    """Collects per-batch latencies during a run and finalizes to metrics.
+    """Counts a run's batches and busy time, and finalizes to metrics.
 
     The run's wall clock *is* a ``serve.run`` telemetry span (opened at
     construction, finished by :meth:`finalize`), and every recorded batch
@@ -114,7 +69,7 @@ class ThroughputMeter:
         self.engine = engine
         self.num_workers = num_workers
         self._lock = threading.Lock()
-        self._latencies: List[float] = []
+        self._batches = 0
         self._busy = 0.0
         self._pairs = 0
         self._cache_hits = 0
@@ -126,7 +81,7 @@ class ThroughputMeter:
 
     def record_batch(self, num_pairs: int, seconds: float) -> None:
         with self._lock:
-            self._latencies.append(seconds)
+            self._batches += 1
             self._busy += seconds
             self._pairs += num_pairs
         REGISTRY.counter("serve.pairs").inc(num_pairs)
@@ -170,13 +125,12 @@ class ThroughputMeter:
             if self._metrics is not None:  # idempotent under racing callers
                 return self._metrics
             self._span.set(num_pairs=self._pairs,
-                           num_batches=len(self._latencies)).finish()
+                           num_batches=self._batches).finish()
             self._metrics = ServeMetrics(
                 engine=self.engine, num_pairs=self._pairs,
-                num_batches=len(self._latencies),
+                num_batches=self._batches,
                 num_workers=self.num_workers,
                 wall_seconds=self._span.duration,
                 busy_seconds=self._busy,
-                batch_latencies=list(self._latencies),
                 cache=dict(cache or {}))
             return self._metrics

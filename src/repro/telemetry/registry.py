@@ -6,9 +6,9 @@ latencies in ad-hoc lists inside ``ThroughputMeter`` — and nothing could
 export "the state of the process" in one call.  :class:`MetricsRegistry`
 is that single export path: components get-or-create named instruments,
 increments are cheap and thread-safe, and :meth:`MetricsRegistry.snapshot`
-renders everything to one JSON-serializable dict (embedded into
-``BENCH_serve.json`` by ``serve-bench --telemetry`` and into trace files by
-the tracer's exporter).
+renders everything to one JSON-serializable dict (embedded into trace
+files by the tracer's exporter and into ``BENCH_scenarios.json`` by
+``repro scenarios``).
 
 Instruments are deliberately minimal:
 

@@ -36,7 +36,8 @@ def resolve_trace_path(run: Union[str, Path],
         return candidate
     raise FileNotFoundError(
         f"no trace found: neither {direct} nor {candidate} exists "
-        f"(run `adapt --telemetry` or `serve-bench --telemetry` first)")
+        f"(run `adapt --telemetry` first, or pass the path of a trace "
+        f"that `python -m perf run --trace` wrote)")
 
 
 def load_trace(path: Union[str, Path]) -> Dict[str, Any]:

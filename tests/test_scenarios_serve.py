@@ -1,13 +1,13 @@
 """Scenario pair streams through the serving stack, bit-identical.
 
-Satellite to the scenario harness: the Record Linking and imbalanced Open
-Matching streams (the two shapes production traffic actually takes —
-cross-table linking and skewed open-world probing) are routed through
+Satellite to the scenario harness: every cell of the 4x2 grid (each
+scenario, balanced and imbalanced) is routed through
 :class:`SequentialScorer`, a four-worker :class:`ParallelScorer`, and an
 in-process daemon, and every engine's `MatchDecision` list must be
 bit-identical to a direct :meth:`ERPipeline.score_pairs` call driven by the
 same scheduler configuration.  The legacy full-padding reference is held to
-the 1e-9 cross-policy contract (DESIGN.md §6b).
+the 1e-9 cross-policy contract with identical threshold decisions
+(DESIGN.md §6b).
 """
 
 import numpy as np
@@ -15,12 +15,13 @@ import pytest
 
 from repro.datasets import generate_corpus, spec_for
 from repro.pipeline import ERPipeline
-from repro.scenarios import build_scenario
+from repro.scenarios import SCENARIOS, VARIANTS, build_scenario
 from repro.serve import (BatchScheduler, DaemonClient, DaemonConfig,
                          ModelRegistry, ParallelScorer, SequentialScorer,
                          start_daemon_thread)
 
-STREAMS = [("record_linking", "balanced"), ("open_matching", "imbalanced")]
+STREAMS = [(scenario, variant) for scenario in SCENARIOS
+           for variant in VARIANTS]
 
 
 @pytest.fixture(scope="module")

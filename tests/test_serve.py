@@ -194,12 +194,13 @@ class TestSequentialEquivalence:
     def test_close_to_reference_across_policies(self, served):
         pipeline, __ = served
         pairs = _ragged_pairs(45)
-        reference = pipeline(pairs)
+        reference = pipeline.score_pairs(pairs)
         bucketed = SequentialScorer(pipeline).score_pairs(pairs)
         assert [(d.left_id, d.right_id) for d in bucketed] == \
             [(d.left_id, d.right_id) for d in reference]
         for fast, ref in zip(bucketed, reference):
             assert abs(fast.probability - ref.probability) <= 1e-9
+            assert fast.is_match == ref.is_match
 
     def test_empty_candidate_set(self, served):
         pipeline, __ = served
@@ -213,7 +214,7 @@ class TestSequentialEquivalence:
         assert metrics.num_pairs == 30
         assert metrics.num_batches >= 1
         assert metrics.pairs_per_second > 0
-        assert 0.0 < metrics.worker_utilization <= 1.0
+        assert 0.0 < metrics.busy_seconds <= metrics.wall_seconds
 
 
 class TestParallelEquivalence:

@@ -197,6 +197,36 @@ class TestEngineCaching:
         assert warm == baseline
         assert warm_stats["hit_rate"] == 1.0
 
+    @pytest.mark.parametrize("num_workers", [0, 2],
+                             ids=["sequential", "parallel-2"])
+    def test_warm_run_from_persisted_shard_is_bit_identical(
+            self, cached_pipeline, tmp_path, num_workers):
+        """Cold run flushed to disk, warm run from a fresh cache instance:
+        every warm score comes off the shard, and no decision moves."""
+        pipeline, directory = cached_pipeline
+        pairs = _pairs([f"w{i % 7} item {i % 13}" for i in range(60)])
+        uncached = SequentialScorer(pipeline).score_pairs(pairs)
+
+        def run(cache):
+            if num_workers == 0:
+                scorer = SequentialScorer(pipeline, cache=cache)
+                return scorer.score_pairs(pairs), scorer.last_metrics
+            with ParallelScorer(directory, num_workers=num_workers,
+                                cache=cache) as scorer:
+                return scorer.score_pairs(pairs), scorer.last_metrics
+
+        cold_cache = ScoreCache(directory=tmp_path / "scores")
+        cold, cold_metrics = run(cold_cache)
+        assert cold == uncached
+        assert cold_metrics.cache["misses"] > 0
+        assert cold_metrics.num_batches > 0
+        assert cold_cache.flush() is not None
+
+        warm, warm_metrics = run(ScoreCache(directory=tmp_path / "scores"))
+        assert warm == uncached
+        assert warm_metrics.cache["misses"] == 0
+        assert warm_metrics.cache["hits"] == len(pairs)
+
     def test_parallel_admits_in_schedule_order(self, cached_pipeline):
         """Worker results are collected in schedule order, so a bounded
         cache ends up holding exactly what the sequential engine leaves."""
@@ -429,32 +459,6 @@ class TestOverlappingRuns:
         assert warm.score_pairs(pairs) == baseline
         assert warm.last_metrics.cache["hits"] == len(pairs)
         assert warm.last_metrics.cache["misses"] == 0
-
-
-class TestBenchCachePasses:
-    """serve-bench's cold pass must start cold even on a reused --cache-dir."""
-
-    def test_rerun_on_one_directory_starts_cold(self, cached_pipeline,
-                                                tmp_path):
-        from repro.serve.bench import _run_cache_passes
-        pipeline, directory = cached_pipeline
-        cache_dir = tmp_path / "scores"
-        for __ in range(2):
-            record = _run_cache_passes(pipeline, directory, num_pairs=200,
-                                       num_workers=2, seed=0,
-                                       cache_dir=cache_dir)
-            assert record["cold"]["misses"] > 0
-            assert record["cold"]["num_batches"] > 0
-            assert record["warm"]["misses"] == 0
-
-    def test_refuses_to_empty_a_directory_it_did_not_write(self, tmp_path):
-        from repro.serve.bench import _empty_cache_dir
-        precious = tmp_path / "precious"
-        precious.mkdir()
-        (precious / "model.npz").write_bytes(b"weights")
-        with pytest.raises(ValueError, match="refusing"):
-            _empty_cache_dir(precious)
-        assert (precious / "model.npz").exists()
 
 
 def _content_scores(batch):

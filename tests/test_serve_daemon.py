@@ -264,6 +264,7 @@ class TestDaemonEndToEnd:
         registry.publish("default", dir_a)
         config = DaemonConfig(flush_interval=0.02)
         errors = []
+        served = []
         barrier = threading.Barrier(num_clients)
 
         def client_worker(host, port, phase_swap):
@@ -273,6 +274,7 @@ class TestDaemonEndToEnd:
                         barrier.wait()
                         reply = client.score(pairs)
                         assert reply.decisions == expected[reply.digest]
+                        served.append(reply.digest)
                         if phase == 1:
                             # after the swap barrier everyone is on B
                             assert reply.digest == \
@@ -298,6 +300,8 @@ class TestDaemonEndToEnd:
         assert errors == []
         assert stats["failed"] == 0  # the swap dropped zero requests
         assert stats["responses"] == 2 * num_clients
+        # both snapshot generations actually served traffic
+        assert len(expected) == 2 and set(served) == set(expected)
         # Concurrent same-digest requests shared flushes.
         assert stats["flushes"] < stats["responses"]
         assert stats["merge_efficiency"] > 0.0

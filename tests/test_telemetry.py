@@ -12,6 +12,7 @@ The two load-bearing guarantees:
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -276,7 +277,11 @@ class TestTelemetrySessionAndSummary:
         from repro.cli import main
         assert main(["trace-summary", "nope",
                      "--trace-dir", str(tmp_path)]) == 1
-        assert "no trace found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no trace found" in err
+        # the hint names only commands that write traces today
+        assert re.findall(r"`([^`]+)`", err) == [
+            "adapt --telemetry", "python -m perf run --trace"]
 
     def test_session_disables_tracer_on_exit(self, tmp_path):
         from repro.telemetry import TRACER
@@ -286,18 +291,22 @@ class TestTelemetrySessionAndSummary:
 
 
 class TestServeBenchTelemetry:
+    """A traced parallel scoring run: the export embeds the registry
+    snapshot, and batches scored on worker threads nest under their run."""
+
     def test_report_embeds_snapshot_and_nests_worker_spans(self, tmp_path,
                                                            tiny_lm):
-        from repro.serve import run_serve_bench
-        report = run_serve_bench(
-            num_pairs=160, num_workers=2, batch_size=32,
-            pipeline_dir=tmp_path / "pipe", output=tmp_path / "bench.json",
-            lm_kwargs=TINY_LM, telemetry=True,
-            trace_dir=tmp_path / "traces")
-        tel = report["telemetry"]
-        assert tel["metrics"]["serve.pairs"] >= 160
-        assert tel["metrics"]["serve.batch_seconds"]["count"] >= 1
-        trace = load_trace(tel["trace"])
+        from repro.serve import (ParallelScorer, build_bench_pipeline,
+                                 synthetic_candidates)
+        directory = build_bench_pipeline(tmp_path / "pipe", lm_kwargs=TINY_LM)
+        with TelemetrySession("serve_parallel",
+                              trace_dir=tmp_path / "traces") as session:
+            with ParallelScorer(directory, num_workers=2,
+                                max_batch_pairs=32) as scorer:
+                scorer.score_pairs(synthetic_candidates(160))
+        trace = load_trace(session.export())
+        assert trace["metrics"]["serve.pairs"] >= 160
+        assert trace["metrics"]["serve.batch_seconds"]["count"] >= 1
         names = {s["name"] for s in trace["spans"]}
         assert {"serve.run", "serve.batch", "serve.schedule"} <= names
         assert span_tree_depth(trace["spans"]) >= 2
@@ -310,7 +319,3 @@ class TestServeBenchTelemetry:
             parent = by_id[batch["parent"]]
             assert parent["name"] == "serve.run"
             assert parent["attrs"]["engine"] == "parallel"
-        # the same snapshot is in the persisted BENCH_serve.json
-        persisted = json.loads((tmp_path / "bench.json").read_text())
-        assert persisted["telemetry"]["metrics"]["serve.pairs"] == \
-            tel["metrics"]["serve.pairs"]
