@@ -263,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     e2e_bench.add_argument("--pipeline-dir", default=None,
                            help="where to persist the trained snapshot "
                                 "(default <work-dir>/pipeline)")
-    e2e_bench.add_argument("--skip-equivalence", action="store_true",
-                           help="skip the engine/shard-layout cluster "
-                                "equivalence pass")
-    e2e_bench.add_argument("--equivalence-records", type=int, default=20000,
-                           help="corpus rows for the equivalence pass "
-                                "(default 20000)")
     _add_lm_arguments(e2e_bench)
 
     trace_summary = commands.add_parser(
@@ -365,8 +359,6 @@ def cmd_e2e_bench(args: argparse.Namespace) -> int:
                            output=args.output, work_dir=args.work_dir,
                            pipeline_dir=args.pipeline_dir, spec=args.spec,
                            seed=args.seed, train_epochs=args.epochs,
-                           equivalence=not args.skip_equivalence,
-                           equivalence_records=args.equivalence_records,
                            lm_kwargs=_lm_kwargs(args))
     print(format_e2e_report(report))
     print(f"report written to {args.output}")

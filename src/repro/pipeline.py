@@ -22,7 +22,23 @@ from .data import Entity, EntityPair
 from .extractors import TransformerExtractor
 from .matcher import MlpMatcher
 from .nn import load_state, no_grad, save_state
-from .text import Vocabulary
+from .text import Vocabulary, encode_batch
+
+#: Inference batches are padded to a multiple of this many rows.  The BLAS
+#: GEMM kernels then tile every row count the forward sees without a
+#: remainder, which makes a pair's probability independent of its batch:
+#: a sweep of seven model shapes found no moved bit at 4, but some at 2
+#: (EXPERIMENTS.md, "Batch-invariant scoring").
+ROW_MULTIPLE = 4
+
+#: Inference batches are padded with ``[PAD]`` positions to a multiple of
+#: this length (capped at ``max_len``), so the sums over positions run
+#: without a remainder loop and any bucket length gives the bits of full
+#: padding; the same sweep moved bits at 1, 2 and 4, none at 8.
+LENGTH_MULTIPLE = 8
+
+#: Pairs per batch of the :meth:`ERPipeline.score_pairs` oracle.
+ORACLE_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -66,43 +82,55 @@ class ERPipeline:
         self.manifest_digest: Optional[str] = None
 
     # -- scoring ---------------------------------------------------------- #
-    def score_pairs(self, pairs: Sequence[EntityPair],
-                    batch_size: int = 64,
-                    scheduler=None) -> List[MatchDecision]:
-        """Match probability for every candidate pair.
+    def probabilities(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Match probabilities for one padded batch: the inference forward.
 
-        Batch formation is delegated to a
-        :class:`repro.serve.BatchScheduler`.  The default is the *reference*
-        policy — fixed stride, every batch padded to ``max_len`` — which is
-        the bit-exact baseline the serve engines are regression-tested
-        against; pass a bucketing scheduler (or use
-        :class:`repro.serve.SequentialScorer`) for the throughput path.
+        Every engine and :meth:`score_pairs` score through here, in no-grad
+        mode.  The batch's rows are padded up to a multiple of
+        :data:`ROW_MULTIPLE` by repeating its first row, its positions up
+        to a multiple of :data:`LENGTH_MULTIPLE` with ``[PAD]``, and the
+        first ``n`` results are returned, so a pair's probability depends
+        neither on which other pairs share its batch nor on how far the
+        batch is padded (DESIGN.md §6b).
         """
-        from .serve.scheduler import BatchScheduler  # serve imports pipeline
-        if scheduler is None:
-            scheduler = BatchScheduler.reference(
-                self.extractor.vocab, self.extractor.max_len, batch_size)
-        probabilities = np.full(len(pairs), np.nan, dtype=np.float64)
+        n, length = ids.shape
+        columns = min(-length % LENGTH_MULTIPLE,
+                      self.extractor.max_len - length)
+        if columns > 0:
+            ids = np.pad(ids, ((0, 0), (0, columns)),
+                         constant_values=self.extractor.vocab.pad_id)
+            mask = np.pad(mask, ((0, 0), (0, columns)))
+        rows = -n % ROW_MULTIPLE
+        if rows:
+            ids = np.concatenate([ids, np.repeat(ids[:1], rows, axis=0)])
+            mask = np.concatenate([mask, np.repeat(mask[:1], rows, axis=0)])
         with no_grad():
-            for batch in scheduler.schedule(pairs):
-                batch.scatter(probabilities, self.matcher.probabilities(
-                    self.extractor.encode(batch.ids, batch.mask)))
-        missing = np.flatnonzero(np.isnan(probabilities))
-        if missing.size:
-            raise RuntimeError(
-                f"scheduler left {missing.size} of {len(pairs)} pairs "
-                f"unscored (first positions {missing[:8].tolist()})")
-        return [MatchDecision(pair.left.entity_id, pair.right.entity_id,
-                              float(p))
+            return self.matcher.probabilities(
+                self.extractor.encode(ids, mask))[:n]
+
+    def score_pairs(self, pairs: Sequence[EntityPair]) -> List[MatchDecision]:
+        """Match probability for every candidate pair: the exact oracle.
+
+        Pairs are cut in input order into fixed strides of
+        :data:`ORACLE_STRIDE`, each padded to ``max_len``, with no
+        bucketing, dedup or cache.  Every serving engine returns exactly
+        these probabilities, whatever its scheduler configuration.
+        """
+        vocab, max_len = self.extractor.vocab, self.extractor.max_len
+        probabilities: List[float] = []
+        for start in range(0, len(pairs), ORACLE_STRIDE):
+            ids, mask = encode_batch(
+                [pair.tokens() for pair in pairs[start:start + ORACLE_STRIDE]],
+                vocab, max_len)
+            probabilities.extend(self.probabilities(ids, mask).tolist())
+        return [MatchDecision(pair.left.entity_id, pair.right.entity_id, p)
                 for pair, p in zip(pairs, probabilities)]
 
     def match_tables(self, left_table: Sequence[Entity],
-                     right_table: Sequence[Entity],
-                     batch_size: int = 64) -> List[Tuple[str, str]]:
+                     right_table: Sequence[Entity]) -> List[Tuple[str, str]]:
         """Blocked + matched id pairs above the threshold."""
         candidates = self.blocker.candidates(left_table, right_table)
-        decisions = self.score_pairs(candidates, batch_size)
-        return [(d.left_id, d.right_id) for d in decisions
+        return [(d.left_id, d.right_id) for d in self.score_pairs(candidates)
                 if d.probability >= self.threshold]
 
     # -- persistence ------------------------------------------------------- #

@@ -6,8 +6,10 @@ persist a diverged extractor.  :class:`GuardRail` sits between
 ``loss.backward()`` and ``optimizer.step()`` in every trainer:
 
 * each step's loss and (optionally) gradients are checked for finiteness,
-  and the loss is checked against a divergence bound
-  (``loss > patience * EMA``);
+  and the loss is checked against a divergence bound: it must exceed
+  ``patience * EMA`` *and* the EMA recorded when the bound first armed.
+  The second, absolute condition keeps a converged run, whose EMA has
+  shrunk toward zero, from mistaking an ordinary minibatch for divergence;
 * on a bad step, the modules are rolled back to the **last good snapshot**
   (persisted through :mod:`repro.artifacts`, so the rollback source is
   checksummed), every optimizer's learning rate is halved, and training
@@ -84,8 +86,10 @@ class GuardRail:
     max_recoveries:
         Rollbacks allowed before :class:`TrainingDiverged` is raised.
     patience:
-        Divergence bound: a finite loss greater than ``patience * EMA`` (after
-        ``warmup_steps`` healthy steps) counts as diverged.
+        Divergence bound: after ``warmup_steps`` healthy steps, a finite
+        loss counts as diverged when it exceeds both ``patience * EMA``
+        and the floor, the EMA when the bound first armed.  The floor is
+        measured once and kept across rollbacks.
     ema_decay:
         Smoothing for the loss EMA the divergence bound compares against.
     snapshot_dir:
@@ -130,6 +134,8 @@ class GuardRail:
         self._global_step = 0
         self._healthy_steps = 0
         self._ema: Optional[float] = None
+        #: EMA at the step the divergence bound first armed; None before.
+        self._floor: Optional[float] = None
         self._recoveries = 0
         self._incidents: List[Dict] = []
         self.snapshot(epoch=-1)
@@ -165,14 +171,18 @@ class GuardRail:
         loss = float(loss)
         if self.chaos is not None and self.chaos.nan_loss_at(global_step):
             loss = float("nan")
+        armed = (self._ema is not None
+                 and self._healthy_steps >= self.warmup_steps)
+        if armed and self._floor is None:
+            self._floor = self._ema
         reason = None
         if not np.isfinite(loss):
             reason = "non-finite loss"
-        elif (self._ema is not None
-              and self._healthy_steps >= self.warmup_steps
-              and loss > self.patience * max(self._ema, 1e-12)):
+        elif (armed and loss > self.patience * max(self._ema, 1e-12)
+              and loss > self._floor):
             reason = (f"diverged loss ({loss:.4g} > {self.patience:g} x "
-                      f"EMA {self._ema:.4g})")
+                      f"EMA {self._ema:.4g} and > floor "
+                      f"{self._floor:.4g})")
         else:
             for param in params:
                 grad = getattr(param, "grad", None)
@@ -209,7 +219,8 @@ class GuardRail:
                         epoch=epoch, step=step, reason=reason,
                         restored_epoch=self._snapshot_epoch,
                         recoveries=self._recoveries)
-        self._ema = None  # re-warm the divergence bound after rollback
+        # Re-warm the relative bound after rollback; the floor stays.
+        self._ema = None
         self._healthy_steps = 0
         logger.warning(
             "resilience rollback method=%s epoch=%d step=%d reason=%s "

@@ -9,16 +9,15 @@ through :mod:`repro.telemetry` (``scale.block.*`` / ``scale.cluster.*``).
 * :mod:`~repro.scale.minhash` — vectorized MinHash signatures + LSH band
   keys, deterministic across processes and shard layouts.
 * :mod:`~repro.scale.blocker` — :class:`ShardedBlocker`, the spilling
-  :class:`~repro.blocking.CandidateStream`: ``minhash`` (LSH collisions)
-  and ``overlap`` (global-df token overlap) modes, shard-invariant
-  candidate order.
+  MinHash/LSH :class:`~repro.blocking.CandidateStream`, with a
+  shard-invariant candidate order.
 * :mod:`~repro.scale.cluster` — union-find (path compression + union by
   rank) folding pairwise decisions — review abstentions excluded — into
   entity clusters with order-invariant canonical ids, plus pairwise
   cluster-quality metrics.
 * :mod:`~repro.scale.bench` — the ``repro e2e-bench`` harness: synthesize
-  a cluster corpus, block, score (sequential / parallel / daemon), cluster,
-  and write per-stage throughput + quality to ``BENCH_e2e.json``.
+  a cluster corpus, block, score (sequential or parallel), cluster, and
+  write per-stage throughput + quality to ``BENCH_e2e.json``.
 
 See DESIGN.md §14 for the shard layout, spill format, and the
 determinism contract (cluster assignments bit-identical across engines and

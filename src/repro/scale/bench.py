@@ -3,18 +3,13 @@
 Resolves a million-row synthetic corpus with the full scale pipeline —
 generate → sharded block → streamed score → transitive cluster — and
 writes per-stage throughput plus blocking/cluster quality to
-``BENCH_e2e.json``.  Two properties gate every number:
-
-* **bounded memory** — tables stream through :func:`repro.data.
-  iter_entity_table` chunks, the :class:`~repro.scale.ShardedBlocker`
-  spills signatures shard-by-shard, and scoring windows through
-  :func:`repro.serve.score_tables`; the report records the largest shard
-  actually held in memory.
-* **engine-invariant clusters** — an equivalence pass resolves a smaller
-  corpus through the sequential, parallel, and daemon engines (identical
-  scoring windows) and through a second blocker with different shard and
-  chunk sizes; all four canonical cluster assignments must be
-  **bit-identical** before the headline run reports anything.
+``BENCH_e2e.json``.  Memory stays bounded: tables stream through
+:func:`repro.data.iter_entity_table` chunks, the
+:class:`~repro.scale.ShardedBlocker` spills signatures shard-by-shard, and
+scoring windows through :func:`repro.serve.score_tables`; the report
+records the largest shard actually held in memory.  That clusters are
+bit-identical across engines, windows and shard layouts is asserted by the
+``e2e`` pytest tier (``tests/test_scale_e2e.py``), not here.
 
 Blocking recall is exact: ground truth travels in the synthetic entity
 ids (:func:`~repro.scale.synth.true_cluster_of`) and the true-pair count
@@ -27,7 +22,7 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -36,7 +31,7 @@ from ..blocking import CandidateStream
 from ..data import Entity, EntityPair, iter_entity_table, target_da_split
 from ..datasets import load_dataset
 from ..matcher import MlpMatcher
-from ..pipeline import ERPipeline, MatchDecision
+from ..pipeline import ERPipeline
 from ..pretrain import fresh_copy, pretrained_lm
 from ..serve import score_tables
 from ..serve.bench import BENCH_LM
@@ -54,24 +49,11 @@ DEFAULT_WORK_DIR = ".cache/e2e_bench"
 #: verify at 0.40 sits inside the measured gap between true-match Jaccard
 #: (p1 ~ 0.50) and hard-sibling Jaccard (p99 ~ 0.29) — recall > 0.99 with
 #: candidates only a hair above the true-match count.
-BENCH_BLOCKER = dict(mode="minhash", bands=32, rows=4, verify_threshold=0.40)
+BENCH_BLOCKER = dict(bands=32, rows=4, verify_threshold=0.40)
 
 #: Corpus dirt for the bench (see :mod:`repro.scale.synth`): mild enough
 #: that token Jaccard separates matches from hard siblings cleanly.
 BENCH_DIRT = 0.05
-
-#: Equivalence pass: corpus size and the two (shard, chunk) layouts that
-#: must produce bit-identical clusters.  Sizes are co-prime-ish and small
-#: enough to force several shards and ragged final chunks.
-EQUIVALENCE_RECORDS = 20000
-EQUIVALENCE_LAYOUTS = ((4096, 1024), (1536, 701))
-
-#: Scoring window for the equivalence pass.  Probabilities depend on batch
-#: composition at ulp level (DESIGN.md §6b), so bit-identical clusters
-#: require every engine to score the *same* windows — and a daemon request
-#: carries one window as one JSON line, which bounds it well under the
-#: transport's 64 KiB line limit.
-EQUIVALENCE_WINDOW = 128
 
 
 class _TimedStream(CandidateStream):
@@ -159,39 +141,8 @@ def _register_corpus(corpus: ScaleCorpus, chunk_size: int,
     return truth
 
 
-def _daemon_decisions(pipeline_dir: Path, blocker: CandidateStream,
-                      left_table: Iterable[Entity],
-                      right_table: Iterable[Entity],
-                      window: int) -> Iterator[MatchDecision]:
-    """Stream decisions through a live in-process daemon.
-
-    Requests carry exactly the windows the in-process engines score
-    (window size and candidate order are identical), so the daemon's
-    batch composition — and therefore every probability bit — matches.
-    """
-    from ..serve import (DaemonClient, DaemonConfig, ModelRegistry,
-                         start_daemon_thread)
-    registry = ModelRegistry()
-    registry.publish("default", str(pipeline_dir))
-    try:
-        with start_daemon_thread(registry, DaemonConfig(port=0)) as handle:
-            host, port = handle.address
-            with DaemonClient(host, port) as client:
-                buffer: List[EntityPair] = []
-                for pair in blocker.iter_candidates(left_table, right_table):
-                    buffer.append(pair)
-                    if len(buffer) >= window:
-                        yield from client.score(buffer).decisions
-                        buffer = []
-                if buffer:
-                    yield from client.score(buffer).decisions
-    finally:
-        registry.close()
-
-
 def _resolve(corpus: ScaleCorpus, blocker: CandidateStream,
-             pipeline: ERPipeline, pipeline_dir: Path, engine: str,
-             num_workers: int, window: int,
+             pipeline: ERPipeline, num_workers: int, window: int,
              chunk_size: int) -> Dict[str, Any]:
     """One full block → score → cluster pass; returns clusters + timings."""
     timed = _TimedStream(blocker)
@@ -202,18 +153,8 @@ def _resolve(corpus: ScaleCorpus, blocker: CandidateStream,
 
     left = _entities(corpus.left_path, chunk_size)
     right = _entities(corpus.right_path, chunk_size)
-    if engine == "sequential":
-        decisions = score_tables(pipeline, left, right, num_workers=0,
-                                 window=window, blocker=timed)
-    elif engine == "parallel":
-        decisions = score_tables(str(pipeline_dir), left, right,
-                                 num_workers=num_workers, window=window,
-                                 blocker=timed)
-    elif engine == "daemon":
-        decisions = _daemon_decisions(pipeline_dir, timed, left, right,
-                                      window)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    decisions = score_tables(pipeline, left, right, num_workers=num_workers,
+                             window=window, blocker=timed)
 
     caught = 0
     cluster_seconds = 0.0
@@ -251,62 +192,6 @@ def _per_second(count: int, seconds: float) -> float:
     return count / seconds if seconds > 0 else 0.0
 
 
-def _equivalence_pass(spec: str, seed: int, records: int, work_dir: Path,
-                      pipeline: ERPipeline, pipeline_dir: Path,
-                      num_workers: int) -> Dict[str, Any]:
-    """Prove cluster invariance across engines and shard layouts.
-
-    Resolves one small corpus four ways — layout A through the
-    sequential, parallel, and daemon engines, then layout B (different
-    shard *and* chunk size) sequentially — and asserts the four canonical
-    assignments are bit-identical.  Every engine scores the same
-    :data:`EQUIVALENCE_WINDOW`-pair windows (see the constant's note).
-    Returns per-engine throughput.
-    """
-    window = EQUIVALENCE_WINDOW
-    corpus = generate_scale_corpus(work_dir / "equivalence", records,
-                                   spec=spec, seed=seed + 1, dirt=BENCH_DIRT)
-    (shard_a, chunk_a), (shard_b, chunk_b) = EQUIVALENCE_LAYOUTS
-
-    def blocker(shard_size: int, chunk_size: int) -> ShardedBlocker:
-        return ShardedBlocker(seed=seed, shard_size=shard_size,
-                              chunk_size=chunk_size, **BENCH_BLOCKER)
-
-    passes = {}
-    for engine in ("sequential", "parallel", "daemon"):
-        passes[engine] = _resolve(corpus, blocker(shard_a, chunk_a),
-                                  pipeline, pipeline_dir, engine,
-                                  num_workers, window, chunk_a)
-    passes["sequential-resharded"] = _resolve(
-        corpus, blocker(shard_b, chunk_b), pipeline, pipeline_dir,
-        "sequential", num_workers, window, chunk_b)
-
-    base = passes["sequential"]["clusters"].assignments
-    for name, record in passes.items():
-        assignments = record["clusters"].assignments
-        if assignments != base:
-            raise AssertionError(
-                f"{name} cluster assignments deviate from the sequential "
-                f"engine ({len(assignments)} vs {len(base)} entities)")
-    return {
-        "records": corpus.records,
-        "candidates": passes["sequential"]["candidates"],
-        "shard_layouts": [list(layout) for layout in EQUIVALENCE_LAYOUTS],
-        # asserted above, recorded for readers:
-        "bit_identical": True,
-        "num_clusters": passes["sequential"]["clusters"].num_clusters,
-        "engines": {
-            name: {
-                "candidates": record["candidates"],
-                "wall_seconds": record["wall_seconds"],
-                "score_pairs_per_second": _per_second(
-                    record["candidates"], record["score_seconds"]),
-            }
-            for name, record in passes.items()
-        },
-    }
-
-
 def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
                   shard_size: int = 65536, chunk_size: int = 4096,
                   window: int = 2048,
@@ -315,8 +200,6 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
                   pipeline_dir: Optional[Union[str, Path]] = None,
                   spec: str = "fodors_zagats", seed: int = 0,
                   train_epochs: int = 8, train_scale: float = 1.0,
-                  equivalence: bool = True,
-                  equivalence_records: int = EQUIVALENCE_RECORDS,
                   lm_kwargs: Optional[dict] = None) -> Dict[str, Any]:
     """Resolve ``records`` synthetic rows end to end; write ``output``.
 
@@ -324,11 +207,7 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
     stage): train a matcher snapshot, generate the corpus straight to
     disk, then one streaming block → score → cluster pass —
     ``num_workers=0`` scores through the in-process sequential engine,
-    ``>=1`` through that many parallel worker threads.  With
-    ``equivalence=True`` (default) a preliminary pass proves cluster
-    assignments bit-identical across sequential / parallel / daemon
-    engines and across two shard layouts before the headline run.
-    Returns the report dict (also persisted atomically to ``output``).
+    ``>=1`` through that many parallel worker threads.  Returns the report dict (also persisted atomically to ``output``).
     """
     if records < 2:
         raise ValueError("records must be >= 2")
@@ -341,14 +220,7 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
     train_record["wall_seconds"] = time.perf_counter() - train_start
     pipeline = ERPipeline.load(pipeline_dir)
 
-    equivalence_record = None
-    if equivalence:
-        equivalence_record = _equivalence_pass(
-            spec, seed, equivalence_records, work_dir, pipeline,
-            pipeline_dir, num_workers)
-
-    # The registry is process-global and the equivalence pass above feeds
-    # the same counters: report only what the headline run adds.
+    # The registry is process-global: report only what this run adds.
     counters_before = _scale_counters()
     generate_start = time.perf_counter()
     corpus = generate_scale_corpus(work_dir / "corpus", records, spec=spec,
@@ -359,8 +231,8 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
                              chunk_size=chunk_size,
                              spill_dir=work_dir / "shards", **BENCH_BLOCKER)
     engine = "parallel" if num_workers > 0 else "sequential"
-    resolve = _resolve(corpus, blocker, pipeline, pipeline_dir, engine,
-                       num_workers, window, chunk_size)
+    resolve = _resolve(corpus, blocker, pipeline, num_workers, window,
+                       chunk_size)
     clusters: Clusters = resolve["clusters"]
     quality = cluster_quality(clusters.assignments, resolve["truth"])
     recall = (resolve["caught"] / corpus.true_matches
@@ -436,8 +308,6 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
                          for name, value in _scale_counters().items()},
         },
     }
-    if equivalence_record is not None:
-        report["equivalence"] = equivalence_record
     atomic_write(Path(output),
                  lambda tmp: tmp.write_text(json.dumps(report, indent=2)))
     return report
@@ -474,13 +344,4 @@ def format_e2e_report(report: Dict[str, Any]) -> str:
         f"  end-to-end {report['end_to_end']['records_per_second']:.0f} "
         f"rec/s ({report['end_to_end']['wall_seconds']:.1f}s)",
     ]
-    equivalence = report.get("equivalence")
-    if equivalence:
-        engines = ", ".join(
-            f"{name} {record['score_pairs_per_second']:.0f} pairs/s"
-            for name, record in equivalence["engines"].items())
-        lines.append(
-            f"  equivalence ({equivalence['records']} records, layouts "
-            f"{equivalence['shard_layouts']}): clusters bit-identical "
-            f"[{engines}]")
     return "\n".join(lines)

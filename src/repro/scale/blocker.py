@@ -9,27 +9,17 @@ checksums — a torn spill can never silently produce a truncated candidate
 set), and candidates are emitted window by window with at most one shard's
 index resident at a time.
 
-Two probe modes share the spill/probe skeleton:
+Each shard holds MinHash signatures folded into LSH band keys
+(:class:`~repro.scale.minhash.MinHasher`); a right row collides with a
+left row iff they share at least one band key.  Sub-linear in the cross
+product and tunable via the ``(bands, rows)`` S-curve, with an optional
+signature-Jaccard verify filter.
 
-* ``minhash`` — per-shard MinHash signatures folded into LSH band keys
-  (:class:`~repro.scale.minhash.MinHasher`); a right row collides with a
-  left row iff they share at least one band key.  Sub-linear in the cross
-  product and tunable via the ``(bands, rows)`` S-curve.
-* ``overlap`` — a sharded mirror of
-  :class:`~repro.blocking.OverlapBlocker`: per-shard sorted token postings,
-  probed with ``searchsorted``; a pair survives at ``min_overlap`` shared
-  informative tokens.  Stop words use the **global** left-table document
-  frequency collected during the spill pass, so the stop-word set — and
-  therefore the candidate set — is invariant to how rows land in shards.
-
-**Emission order is part of the contract.**  Batch composition moves
-matcher probabilities at the ulp level (DESIGN.md §6b), so downstream
-bit-identity — cluster assignments equal across sequential / parallel /
-daemon scoring and across shard counts — requires the pair *order*, not
-just the pair *set*, to be shard-layout-invariant.  The blocker therefore
-emits right rows in table order and, within each right row, left partners
-sorted by global left row index; shard and chunk boundaries are
-unobservable in the output.
+**Emission order is shard-layout-invariant**, so the same tables give the
+same candidate stream, and therefore the same output files and windows,
+whatever the shard and chunk sizes.  The blocker emits right rows in table
+order and, within each right row, left partners sorted by global left row
+index; shard and chunk boundaries are unobservable in the output.
 """
 
 from __future__ import annotations
@@ -46,13 +36,11 @@ from ..artifacts import ArtifactStore
 from ..data import DEFAULT_CHUNK_SIZE, Entity, EntityPair, ensure_chunks
 from ..text import tokenize
 from ..blocking.stream import CandidateStream
-from .minhash import DEFAULT_BANDS, DEFAULT_ROWS, MinHasher, token_hash
+from .minhash import DEFAULT_BANDS, DEFAULT_ROWS, MinHasher
 
 #: Left rows folded into one spilled shard (and right rows probed per
 #: window).  2^16 rows keeps a resident shard in the tens of megabytes.
 DEFAULT_SHARD_SIZE = 65536
-
-_MODES = ("minhash", "overlap")
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray
@@ -72,15 +60,6 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray
     return owners, starts + offsets
 
 
-def _sorted_member_mask(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Boolean mask of ``values`` present in the *sorted* ``table``."""
-    if table.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(table, values)
-    pos = np.minimum(pos, table.size - 1)
-    return table[pos] == values
-
-
 class _ShardSpiller:
     """Accumulates left rows and spills full shards through the store."""
 
@@ -89,7 +68,6 @@ class _ShardSpiller:
         self.store = store
         self.schema: Optional[Tuple[str, ...]] = None
         self.shards: List[Dict[str, Any]] = []
-        self.document_freq: Dict[int, int] = {}
         self.total_rows = 0
         self.spilled_bytes = 0
         self._reset_buffer()
@@ -114,13 +92,7 @@ class _ShardSpiller:
                                  for v in entity.attributes.values()])
             self._nulls.append([v is None
                                 for v in entity.attributes.values()])
-            tokens = set(tokenize(entity.text()))
-            self._token_sets.append(tokens)
-            if self.blocker.mode == "overlap":
-                for token in tokens:
-                    key = token_hash(token)
-                    self.document_freq[key] = self.document_freq.get(key,
-                                                                     0) + 1
+            self._token_sets.append(set(tokenize(entity.text())))
         while len(self._ids) >= self.blocker.shard_size:
             self._flush(self.blocker.shard_size)
 
@@ -140,34 +112,19 @@ class _ShardSpiller:
         for i in range(len(self.schema)):
             arrays[f"val_{i}"] = np.array(columns[i])
             arrays[f"nul_{i}"] = np.array(masks[i], dtype=bool)
-        token_sets = self._token_sets[:count]
-        if self.blocker.mode == "minhash":
-            hasher = self.blocker.hasher
-            signatures = hasher.signatures(token_sets)
-            keys = hasher.band_keys(signatures)
-            # Pre-sort each band column so the probe pass is a straight
-            # searchsorted; the permutation recovers local row numbers.
-            order = np.argsort(keys, axis=0, kind="stable").T
-            arrays["keys_sorted"] = np.take_along_axis(
-                keys, order.T, axis=0).T.copy()
-            arrays["keys_order"] = order.astype(np.int64)
-            # Low byte of each MinHash value: enough to estimate Jaccard
-            # for the verify filter (equal values agree exactly; unequal
-            # values alias with probability 1/256) at 1/8 the spill size.
-            arrays["sig8"] = (signatures
-                              & np.uint64(0xFF)).astype(np.uint8)
-        else:
-            post_tokens: List[int] = []
-            post_rows: List[int] = []
-            for row, tokens in enumerate(token_sets):
-                for token in tokens:
-                    post_tokens.append(token_hash(token))
-                    post_rows.append(row)
-            tokens_arr = np.array(post_tokens, dtype=np.uint64)
-            rows_arr = np.array(post_rows, dtype=np.int64)
-            order = np.lexsort((rows_arr, tokens_arr))
-            arrays["post_tokens"] = tokens_arr[order]
-            arrays["post_rows"] = rows_arr[order]
+        hasher = self.blocker.hasher
+        signatures = hasher.signatures(self._token_sets[:count])
+        keys = hasher.band_keys(signatures)
+        # Pre-sort each band column so the probe pass is a straight
+        # searchsorted; the permutation recovers local row numbers.
+        order = np.argsort(keys, axis=0, kind="stable").T
+        arrays["keys_sorted"] = np.take_along_axis(
+            keys, order.T, axis=0).T.copy()
+        arrays["keys_order"] = order.astype(np.int64)
+        # Low byte of each MinHash value: enough to estimate Jaccard for the
+        # verify filter (equal values agree exactly; unequal values alias
+        # with probability 1/256) at 1/8 the spill size.
+        arrays["sig8"] = (signatures & np.uint64(0xFF)).astype(np.uint8)
         with telemetry.span("scale.block.spill", shard=name, rows=count):
             path = self.store.write(
                 name, lambda tmp: np.savez(tmp, **arrays))
@@ -189,17 +146,12 @@ class ShardedBlocker(CandidateStream):
 
     Parameters
     ----------
-    mode:
-        ``"minhash"`` (LSH band collisions) or ``"overlap"`` (shared
-        informative tokens, semantics matching
-        :class:`~repro.blocking.OverlapBlocker`).
     bands, rows, seed:
-        MinHash/LSH shape for ``minhash`` mode: ``bands * rows``
-        permutations, candidate threshold ``(1/bands)**(1/rows)``.
-    min_overlap, stop_fraction:
-        ``overlap`` mode knobs; stop words are computed from the global
-        left-table document frequency with the same strict-``>`` cutoff the
-        in-memory blocker pins (a token at exactly the cutoff is kept).
+        MinHash/LSH shape: ``bands * rows`` permutations, candidate
+        threshold ``(1/bands)**(1/rows)``.
+    verify_threshold:
+        When set, band collisions whose estimated Jaccard (the share of
+        equal signature low bytes) falls below it are dropped.
     shard_size:
         Left rows per spilled shard, and right rows probed per window —
         the resident-memory knob.
@@ -210,29 +162,17 @@ class ShardedBlocker(CandidateStream):
         directory deleted when iteration completes.
     """
 
-    def __init__(self, mode: str = "minhash",
-                 bands: int = DEFAULT_BANDS, rows: int = DEFAULT_ROWS,
+    def __init__(self, bands: int = DEFAULT_BANDS, rows: int = DEFAULT_ROWS,
                  seed: int = 0, verify_threshold: Optional[float] = None,
-                 min_overlap: int = 2,
-                 stop_fraction: float = 0.2,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  spill_dir: Optional[Union[str, Path]] = None):
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        if min_overlap < 1:
-            raise ValueError("min_overlap must be >= 1")
-        if not 0.0 < stop_fraction <= 1.0:
-            raise ValueError("stop_fraction must be in (0, 1]")
         if verify_threshold is not None and not 0.0 < verify_threshold <= 1.0:
             raise ValueError("verify_threshold must be in (0, 1] or None")
-        self.mode = mode
         self.verify_threshold = verify_threshold
         self.hasher = MinHasher(bands, rows, seed)
-        self.min_overlap = min_overlap
-        self.stop_fraction = stop_fraction
         self.shard_size = shard_size
         self.chunk_size = chunk_size
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
@@ -241,11 +181,9 @@ class ShardedBlocker(CandidateStream):
         self.last_stats: Optional[Dict[str, Any]] = None
 
     def config(self) -> Dict[str, Any]:
-        return {"mode": self.mode, "bands": self.hasher.bands,
+        return {"bands": self.hasher.bands,
                 "rows": self.hasher.rows, "seed": self.hasher.seed,
                 "verify_threshold": self.verify_threshold,
-                "min_overlap": self.min_overlap,
-                "stop_fraction": self.stop_fraction,
                 "shard_size": self.shard_size,
                 "chunk_size": self.chunk_size}
 
@@ -271,20 +209,18 @@ class ShardedBlocker(CandidateStream):
 
     def _run(self, store: ArtifactStore, left_table: Iterable[Entity],
              right_table: Iterable[Entity]) -> Iterator[EntityPair]:
-        with telemetry.span("scale.block.pass1", mode=self.mode):
+        with telemetry.span("scale.block.pass1"):
             spiller = _ShardSpiller(self, store)
             for chunk in ensure_chunks(left_table, self.chunk_size):
                 spiller.add_chunk(chunk)
             spiller.finish()
         telemetry.REGISTRY.counter("scale.block.left_rows").inc(
             spiller.total_rows)
-        stop_hashes = self._stop_hashes(spiller)
         store.write_json("blocker.json", {
             "config": self.config(), "left_rows": spiller.total_rows,
-            "stop_tokens": int(stop_hashes.size),
             "shards": spiller.shards}, indent=2, sort_keys=True)
         stats: Dict[str, Any] = {
-            "mode": self.mode, "num_shards": len(spiller.shards),
+            "num_shards": len(spiller.shards),
             "left_rows": spiller.total_rows, "right_rows": 0,
             "spilled_bytes": spiller.spilled_bytes, "candidates": 0,
             "max_shard_rows": max((s["rows"] for s in spiller.shards),
@@ -299,22 +235,12 @@ class ShardedBlocker(CandidateStream):
             window.extend(chunk)
             stats["right_rows"] += len(chunk)
             if len(window) >= self.shard_size:
-                yield from self._probe_window(store, spiller, stop_hashes,
-                                              window, stats)
+                yield from self._probe_window(store, spiller, window, stats)
                 window = []
         if window:
-            yield from self._probe_window(store, spiller, stop_hashes,
-                                          window, stats)
+            yield from self._probe_window(store, spiller, window, stats)
         telemetry.REGISTRY.counter("scale.block.right_rows").inc(
             stats["right_rows"])
-
-    def _stop_hashes(self, spiller: _ShardSpiller) -> np.ndarray:
-        """Global stop-word token hashes, sorted (empty in minhash mode)."""
-        if self.mode != "overlap" or spiller.total_rows == 0:
-            return np.empty(0, dtype=np.uint64)
-        cutoff = max(1.0, self.stop_fraction * spiller.total_rows)
-        stops = [t for t, f in spiller.document_freq.items() if f > cutoff]
-        return np.sort(np.array(stops, dtype=np.uint64))
 
     # -- probing ------------------------------------------------------------ #
     def _load_shard(self, store: ArtifactStore, name: str
@@ -327,30 +253,20 @@ class ShardedBlocker(CandidateStream):
             validator=None)
 
     def _probe_window(self, store: ArtifactStore, spiller: _ShardSpiller,
-                      stop_hashes: np.ndarray, window: Sequence[Entity],
+                      window: Sequence[Entity],
                       stats: Dict[str, Any]) -> Iterator[EntityPair]:
-        with telemetry.span("scale.block.probe", mode=self.mode,
-                            window_rows=len(window),
+        with telemetry.span("scale.block.probe", window_rows=len(window),
                             num_shards=len(spiller.shards)):
-            token_sets = [set(tokenize(e.text())) for e in window]
-            if self.mode == "minhash":
-                signatures = self.hasher.signatures(token_sets)
-                right_keys = self.hasher.band_keys(signatures)
-                right_sig8 = (signatures & np.uint64(0xFF)).astype(np.uint8)
-                probe = None
-            else:
-                right_keys = right_sig8 = None
-                probe = self._overlap_probe_arrays(token_sets, stop_hashes)
+            signatures = self.hasher.signatures(
+                [set(tokenize(e.text())) for e in window])
+            right_keys = self.hasher.band_keys(signatures)
+            right_sig8 = (signatures & np.uint64(0xFF)).astype(np.uint8)
             owners: List[np.ndarray] = []
             partners: List[np.ndarray] = []
             left_entities: Dict[int, Entity] = {}
             for shard in spiller.shards:
                 data = self._load_shard(store, shard["name"])
-                if self.mode == "minhash":
-                    rr, ll = self._probe_minhash(data, right_keys,
-                                                 right_sig8)
-                else:
-                    rr, ll = self._probe_overlap(data, probe)
+                rr, ll = self._probe_minhash(data, right_keys, right_sig8)
                 if rr.size == 0:
                     continue
                 owners.append(rr)
@@ -363,7 +279,7 @@ class ShardedBlocker(CandidateStream):
         rr_all = np.concatenate(owners)
         gl_all = np.concatenate(partners)
         # Right row major, global left index minor: the shard-invariant
-        # emission order the clustering bit-identity contract relies on.
+        # emission order.
         order = np.lexsort((gl_all, rr_all))
         stats["candidates"] += int(order.size)
         telemetry.REGISTRY.counter("scale.block.candidates").inc(
@@ -419,50 +335,6 @@ class ShardedBlocker(CandidateStream):
             keep_chunks.append(agree.mean(axis=1) >= self.verify_threshold)
         keep = np.concatenate(keep_chunks)
         return rr[keep], ll[keep]
-
-    @staticmethod
-    def _overlap_probe_arrays(token_sets: Sequence[Set[str]],
-                              stop_hashes: np.ndarray
-                              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat (owner row, token hash) arrays for one right window, with
-        global stop words already dropped."""
-        owners: List[int] = []
-        tokens: List[int] = []
-        for row, token_set in enumerate(token_sets):
-            for token in token_set:
-                owners.append(row)
-                tokens.append(token_hash(token))
-        owner_arr = np.array(owners, dtype=np.int64)
-        token_arr = np.array(tokens, dtype=np.uint64)
-        keep = ~_sorted_member_mask(token_arr, stop_hashes)
-        return owner_arr[keep], token_arr[keep]
-
-    def _probe_overlap(self, data: Dict[str, np.ndarray],
-                       probe: Tuple[np.ndarray, np.ndarray]
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """(right row, local left row) pairs with >= min_overlap shared
-        informative tokens against one shard's postings."""
-        owner_arr, token_arr = probe
-        post_tokens = data["post_tokens"]
-        post_rows = data["post_rows"]
-        shard_rows = int(data["ids"].shape[0])
-        empty = np.empty(0, dtype=np.int64)
-        if token_arr.size == 0 or post_tokens.size == 0:
-            return empty, empty
-        lo = np.searchsorted(post_tokens, token_arr, side="left")
-        hi = np.searchsorted(post_tokens, token_arr, side="right")
-        occ, pos = _expand_ranges(lo, hi)
-        if occ.size == 0:
-            return empty, empty
-        rr = owner_arr[occ]
-        ll = post_rows[pos]
-        # Token sets are distinct per row on both sides, so each shared
-        # token contributes exactly one occurrence: the pair's occurrence
-        # count IS its overlap.
-        combined, counts = np.unique(rr * shard_rows + ll,
-                                     return_counts=True)
-        survivors = combined[counts >= self.min_overlap]
-        return survivors // shard_rows, survivors % shard_rows
 
     @staticmethod
     def _materialize(data: Dict[str, np.ndarray], schema: Sequence[str],

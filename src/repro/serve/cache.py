@@ -1,10 +1,11 @@
 """Content-addressed score cache for the serving path.
 
 Scoring a candidate pair is a pure function of the pipeline snapshot and
-the pair's encoded, truncated token ids (padding is bit-neutral and batch
-composition does not move bits on the supported single-threaded BLAS
-configurations — asserted by the cache equivalence tier).  That makes
-matcher probabilities safely memoizable under the key
+the pair's encoded, truncated token ids: padding is bit-neutral and
+:meth:`repro.pipeline.ERPipeline.probabilities` makes batch composition
+bit-neutral too (DESIGN.md §6b), so a cached value equals a fresh one
+exactly.  That makes matcher probabilities safely memoizable under the
+key
 
     (pipeline ``manifest_digest``, blake2b(token ids))
 

@@ -18,12 +18,12 @@ module is that shape:
   ``max_batch_tokens`` or when the oldest entry's ``flush_interval``
   deadline expires.  The whole flush rides the *existing* engine stack —
   scheduler, score cache, worker threads — in one scoring-lane round,
-  and each caller gets its own decisions back.  Within the flush every
-  request keeps its own batch composition (BLAS picks GEMM kernels per
-  matrix shape, so folding a request into a larger concatenated batch can
-  move the last ulp): merged decisions are therefore bit-identical to
-  scoring each request alone, no matter what else was in flight —
-  ``tests/test_serve_daemon.py`` asserts this across a mid-run hot swap.
+  and each caller gets its own decisions back.  Within the flush each
+  request still gets its own engine run.  Scoring is batch-invariant
+  (DESIGN.md §6b), so that is a choice of shape, not a numerics need: a
+  request's decisions are bit-identical to scoring it alone, no matter
+  what else was in flight — ``tests/test_serve_daemon.py`` asserts this
+  across a mid-run hot swap.
 * **Multi-tenant routing + zero-downtime hot swap.**  Requests name a
   domain; a :class:`~repro.serve.registry.ModelRegistry` resolves it to a
   lease-pinned engine.  Republishing a snapshot swaps atomically: in-flight
@@ -46,8 +46,7 @@ accounting.
 The wire protocol is JSON lines over TCP (one object per line, ``op`` =
 ``score`` | ``publish`` | ``domains`` | ``stats`` | ``ping`` |
 ``shutdown``); :class:`~repro.serve.client.DaemonClient` speaks it, and
-:func:`start_daemon_thread` hosts a daemon in-process for tests and the
-e2e bench.
+:func:`start_daemon_thread` hosts a daemon in-process for tests.
 """
 
 from __future__ import annotations
@@ -273,15 +272,12 @@ class ServeDaemon:
     def _score_merged(self, collector: _Collector):
         """Executor-side: score every request of one flush back to back.
 
-        Each request keeps its OWN batch composition (one engine run per
-        request, not one run over the concatenated pairs).  This is what
-        makes daemon decisions bit-identical to a standalone sequential
-        engine: BLAS selects GEMM kernels per matrix shape, so scoring a
-        request's pairs inside a larger merged batch can move the last ulp
-        — decisions must never depend on which other requests happened to
-        be in flight.  The merge win is everything around the matmul: one
-        executor round-trip, one warm cache pass, and shared admission /
-        telemetry overhead across all requests in the flush.
+        One engine run per request, not one run over the concatenated
+        pairs.  Either gives the same bits, because scoring is
+        batch-invariant; per-request runs keep each response's metrics
+        and routing its own.  The merge win is everything around the
+        matmul: one executor round-trip, one warm cache pass, and shared
+        admission / telemetry overhead across all requests in the flush.
         """
         entries = collector.entries
         engine = entries[0].lease.engine

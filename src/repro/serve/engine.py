@@ -2,20 +2,22 @@
 
 Two engines drive an :class:`~repro.pipeline.ERPipeline` at throughput:
 
-* :class:`SequentialScorer` — batches formed by the length-bucketing
-  :class:`~repro.serve.scheduler.BatchScheduler` instead of the legacy
-  fixed-stride/full-padding loop, scored one after another in the calling
-  thread;
+* :class:`SequentialScorer` — batches formed by the length-bucketing,
+  deduplicating :class:`~repro.serve.scheduler.BatchScheduler` instead of
+  the oracle's fixed-stride/full-padding loop, scored one after another in
+  the calling thread;
 * :class:`ParallelScorer` — the same scheduler, its batches fanned out over
   a pool of worker threads that share one loaded pipeline.  numpy releases
   the GIL inside the GEMMs and ufunc loops that dominate a forward pass, so
   the threads overlap; ``no_grad`` and the span stack are context
   variables, so every batch runs in a copy of its request's context.
 
-Batch formation is a pure function of the pair sequence and the scheduler
-configuration, and a batch's forward pass does not depend on which thread
-runs it, so two engines given the same scheduler produce **bit-identical**
-:class:`~repro.pipeline.MatchDecision` lists regardless of worker count.  A
+Every batch runs the one inference forward,
+:meth:`~repro.pipeline.ERPipeline.probabilities`, which is batch-invariant:
+a pair's probability depends only on the pair and the snapshot.  Both
+engines therefore return :class:`~repro.pipeline.MatchDecision` lists
+**bit-identical** to :meth:`~repro.pipeline.ERPipeline.score_pairs`,
+whatever the scheduler configuration, cache state or worker count.  A
 batch whose forward pass raises fails its whole request with a
 ``RuntimeError`` naming the batch's positions — no partial decision list is
 ever returned — and the engine serves the next request normally.  Every run
@@ -53,7 +55,6 @@ from .. import telemetry
 from ..artifacts import ArtifactStore
 from ..blocking import CandidateStream
 from ..data import Entity, EntityPair
-from ..nn import no_grad
 from ..pipeline import ERPipeline, MatchDecision
 from .cache import ScoreCache, pair_key
 from .metrics import ServeMetrics, ThroughputMeter
@@ -302,10 +303,7 @@ class SequentialScorer(RequestScorer):
         with telemetry.span("serve.batch", engine=self.engine_name,
                             num_pairs=batch.num_pairs,
                             padded_length=batch.padded_length) as sp:
-            # Inference never reads the tape — skip building it.
-            with no_grad():
-                probs = self.pipeline.matcher.probabilities(
-                    self.pipeline.extractor.encode(batch.ids, batch.mask))
+            probs = self.pipeline.probabilities(batch.ids, batch.mask)
         return probs, sp.duration
 
     def _collect(self, batch: ScheduledBatch, probs: np.ndarray,

@@ -1,30 +1,25 @@
 """Length-aware batch formation for the scoring engines.
 
-The legacy ``ERPipeline`` loop cut candidate pairs into fixed strides and
-padded every batch to the extractor's full ``max_len``; with attention cost
-quadratic in sequence length, short pairs paid for padding they never used.
-:class:`BatchScheduler` replaces that loop: pairs are bucketed by padded
-length (multiples of ``bucket_rounding``), and each bucket is cut into
-batches capped both by pair count and by total padded tokens, so one batch
-never blows past the memory/latency budget regardless of sequence length.
+Pairs are bucketed by padded length (multiples of ``bucket_rounding``),
+and each bucket is cut into batches capped both by pair count and by total
+padded tokens, so one batch never blows past the memory/latency budget
+regardless of sequence length; with attention cost quadratic in sequence
+length, short pairs no longer pay for padding they never use.
 
 Exact duplicates are common in serving traffic (overlapping blocking
 windows, repeated ``score_tables`` calls, near-clone records), so
-:meth:`BatchScheduler.schedule` additionally runs a dedup pass: pairs whose
+:meth:`BatchScheduler.schedule` always runs a dedup pass: pairs whose
 *encoded, truncated* token sequences are identical are scored once and the
 single probability is scattered to every original position through the
-batch's ``(indices, rows)`` mapping.  The reference policy keeps dedup off
-— it must stay byte-for-byte the legacy loop.
+batch's ``(indices, rows)`` mapping.
 
-Numerics: padding with ``[PAD]`` positions is masked with a ``-1e9``
-additive bias whose softmax weight underflows to exactly ``0.0`` in
-float64, so a pair's feature vector does not depend on how far its bucket
-pads it.  Batch *size* is likewise neutral on the supported single-threaded
-BLAS configurations (the cache/dedup equivalence tier asserts bit-identical
-decisions with dedup on and off), but the cross-*policy* guarantee stays
-conservative: engines promise bit-identical output for identical scheduler
-configuration, and agreement between the bucketed and full-padding
-reference policies is locked to 1e-9.
+Numerics: none of this moves a bit.
+:meth:`repro.pipeline.ERPipeline.probabilities` aligns every batch's rows
+and positions before the forward, so a pair's probability depends neither
+on how far its bucket pads it nor on which pairs share its batch.  Every
+scheduler configuration therefore yields exactly the probabilities of the
+fixed-stride oracle :meth:`~repro.pipeline.ERPipeline.score_pairs`
+(DESIGN.md §6b).
 """
 
 from __future__ import annotations
@@ -109,22 +104,11 @@ class BatchScheduler:
         Padded lengths are rounded up to multiples of this; 1 buckets by
         exact length, larger values trade a little padding for fewer, fuller
         buckets.
-    pad_to_max:
-        When set, every batch is padded to ``max_len`` and pairs are cut in
-        input order with a fixed stride — byte-for-byte the legacy
-        ``ERPipeline`` batching.  This is the *reference* policy the
-        equivalence tests compare against.
-    dedup:
-        Score each distinct encoded sequence once and scatter the result to
-        every duplicate position.  Defaults to on for the bucketing policy
-        and off for the reference policy (which must reproduce the legacy
-        loop exactly, duplicate work included).
     """
 
     def __init__(self, vocab: Vocabulary, max_len: int,
                  max_batch_pairs: int = 128, max_batch_tokens: int = 8192,
-                 bucket_rounding: int = 8, pad_to_max: bool = False,
-                 dedup: Optional[bool] = None):
+                 bucket_rounding: int = 8):
         if max_len <= 0:
             raise ValueError("max_len must be positive")
         if max_batch_pairs <= 0:
@@ -139,15 +123,6 @@ class BatchScheduler:
         self.max_batch_pairs = max_batch_pairs
         self.max_batch_tokens = max_batch_tokens
         self.bucket_rounding = bucket_rounding
-        self.pad_to_max = pad_to_max
-        self.dedup = (not pad_to_max) if dedup is None else bool(dedup)
-
-    @classmethod
-    def reference(cls, vocab: Vocabulary, max_len: int,
-                  batch_size: int = 64) -> "BatchScheduler":
-        """The legacy fixed-stride, full-padding policy (bit-exact baseline)."""
-        return cls(vocab, max_len, max_batch_pairs=batch_size,
-                   max_batch_tokens=batch_size * max_len, pad_to_max=True)
 
     # -- scheduling -------------------------------------------------------- #
     def encode(self, pairs: Sequence[EntityPair]) -> List[List[int]]:
@@ -209,16 +184,9 @@ class BatchScheduler:
             positions = np.asarray(positions, dtype=np.int64)
             if positions.shape != (len(encoded),):
                 raise ValueError("positions must label every encoded sequence")
-        if self.dedup:
-            encoded, groups = self._dedup(encoded)
-        else:
-            groups = [[i] for i in range(len(encoded))]
-        if self.pad_to_max:
-            buckets = {self.max_len: list(range(len(encoded)))}
-        else:
-            lengths = [len(seq) for seq in encoded]
-            buckets = bucket_by_length(lengths, self.bucket_rounding,
-                                       self.max_len)
+        encoded, groups = self._dedup(encoded)
+        buckets = bucket_by_length([len(seq) for seq in encoded],
+                                   self.bucket_rounding, self.max_len)
         for padded_length in sorted(buckets):
             for chunk in self._cut(buckets[padded_length], padded_length):
                 ids, mask = pad_sequences([encoded[i] for i in chunk],

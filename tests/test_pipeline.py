@@ -6,7 +6,9 @@ import pytest
 from repro.blocking import OverlapBlocker
 from repro.data import Entity, EntityPair
 from repro.datasets import load_dataset
-from repro.pipeline import ERPipeline, MatchDecision
+from repro.pipeline import (LENGTH_MULTIPLE, ROW_MULTIPLE, ERPipeline,
+                            MatchDecision)
+from repro.text import encode_batch
 
 
 @pytest.fixture()
@@ -34,6 +36,28 @@ class TestScoring:
         decision = pipeline.score_pairs(ds.pairs[:1])[0]
         assert decision.left_id == ds.pairs[0].left.entity_id
         assert decision.right_id == ds.pairs[0].right.entity_id
+
+    def test_probabilities_pads_rows_and_positions(self, pipeline,
+                                                   monkeypatch):
+        # The forward sees aligned rows and positions; the caller gets its
+        # own rows back, each equal to scoring that row alone.
+        ds = load_dataset("fz", scale=0.1, seed=0)
+        ids, mask = encode_batch([p.tokens() for p in ds.pairs[:5]],
+                                 pipeline.extractor.vocab, 61)
+        alone = [pipeline.probabilities(ids[i:i + 1], mask[i:i + 1])[0]
+                 for i in range(5)]
+        shapes = []
+        encode = pipeline.extractor.encode
+
+        def record(ids, mask):
+            shapes.append(ids.shape)
+            return encode(ids, mask)
+
+        monkeypatch.setattr(pipeline.extractor, "encode", record)
+        probabilities = pipeline.probabilities(ids, mask)
+        assert probabilities.tolist() == alone
+        assert shapes == [(8, 64)]
+        assert 8 % ROW_MULTIPLE == 0 and 64 % LENGTH_MULTIPLE == 0
 
     def test_is_match_property(self):
         assert MatchDecision("a", "b", 0.7).is_match

@@ -150,6 +150,34 @@ class TestGuardRail:
         assert "diverged loss" in guard.incidents[0]["reason"]
         guard.close()
 
+    def test_converged_run_survives_an_ordinary_spike(self):
+        # A converging loss trace: the EMA settles at 0.0065, then one
+        # ordinary minibatch scores 0.20.  That is over 25 x EMA but far
+        # under the EMA the bound armed at: convergence, not divergence.
+        matcher = MlpMatcher(4, np.random.default_rng(0))
+        trace = [max(0.69 * 0.9 ** step, 0.0065) for step in range(120)]
+        with GuardRail({"matcher": matcher}, [_stub_optimizer()]) as guard:
+            for step, loss in enumerate(trace):
+                assert guard.observe(loss, epoch=step // 40, step=step)
+            assert guard.observe(0.20, epoch=3, step=120)
+            assert guard.recoveries == 0
+            # A blow-up past the armed floor still trips.
+            assert guard.observe(50.0, epoch=3, step=121) is False
+            assert "diverged loss" in guard.incidents[0]["reason"]
+
+    def test_floor_survives_rollback(self):
+        # After a rollback the relative bound re-arms on the converged
+        # EMA, but the floor measured at the first arming stays.
+        matcher = MlpMatcher(4, np.random.default_rng(0))
+        with GuardRail({"matcher": matcher}, [_stub_optimizer()]) as guard:
+            for step in range(12):
+                assert guard.observe(0.69, epoch=0, step=step)
+            assert guard.observe(float("nan"), epoch=0, step=12) is False
+            for step in range(13, 40):
+                assert guard.observe(0.0065, epoch=1, step=step)
+            assert guard.observe(0.20, epoch=1, step=40)
+            assert guard.recoveries == 1
+
     def test_bounded_recoveries_raise_with_history(self):
         matcher = MlpMatcher(4, np.random.default_rng(0))
         guard = GuardRail({"matcher": matcher}, [_stub_optimizer()],

@@ -4,10 +4,9 @@ Satellite to the scenario harness: every cell of the 4x2 grid (each
 scenario, balanced and imbalanced) is routed through
 :class:`SequentialScorer`, a four-worker :class:`ParallelScorer`, and an
 in-process daemon, and every engine's `MatchDecision` list must be
-bit-identical to a direct :meth:`ERPipeline.score_pairs` call driven by the
-same scheduler configuration.  The legacy full-padding reference is held to
-the 1e-9 cross-policy contract with identical threshold decisions
-(DESIGN.md §6b).
+bit-identical to the fixed-stride, full-padding oracle
+:meth:`ERPipeline.score_pairs`, as must every other scheduler
+configuration (DESIGN.md §6b).
 """
 
 import numpy as np
@@ -53,9 +52,7 @@ def streams():
 def test_engines_bit_identical_to_direct_pipeline(served, streams, stream):
     pipeline, directory = served
     pairs = streams[stream]
-    scheduler = BatchScheduler(pipeline.extractor.vocab,
-                               pipeline.extractor.max_len)
-    direct = pipeline.score_pairs(pairs, scheduler=scheduler)
+    direct = pipeline.score_pairs(pairs)
 
     sequential = SequentialScorer(pipeline).score_pairs(pairs)
     assert sequential == direct
@@ -76,14 +73,12 @@ def test_engines_bit_identical_to_direct_pipeline(served, streams, stream):
 
 @pytest.mark.parametrize("stream", STREAMS, ids="/".join)
 def test_reference_policy_within_tolerance(served, streams, stream):
+    # The tolerance is now zero: exact-length buckets and small odd caps
+    # still give the oracle's bits.
     pipeline, __ = served
     pairs = streams[stream]
     scheduler = BatchScheduler(pipeline.extractor.vocab,
-                               pipeline.extractor.max_len)
-    direct = pipeline.score_pairs(pairs, scheduler=scheduler)
-    reference = pipeline.score_pairs(pairs)
-    assert [(d.left_id, d.right_id) for d in direct] == \
-        [(d.left_id, d.right_id) for d in reference]
-    for fast, ref in zip(direct, reference):
-        assert abs(fast.probability - ref.probability) <= 1e-9
-        assert fast.is_match == ref.is_match
+                               pipeline.extractor.max_len,
+                               max_batch_pairs=7, bucket_rounding=1)
+    bucketed = SequentialScorer(pipeline, scheduler).score_pairs(pairs)
+    assert bucketed == pipeline.score_pairs(pairs)

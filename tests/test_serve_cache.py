@@ -227,6 +227,20 @@ class TestEngineCaching:
         assert warm_metrics.cache["misses"] == 0
         assert warm_metrics.cache["hits"] == len(pairs)
 
+    def test_partial_hits_score_residual_batches_bit_identically(
+            self, cached_pipeline):
+        """A cache holding some of a request's pairs leaves the misses to a
+        smaller residual batch; the response must still equal the uncached
+        run bit for bit, whichever prefix the cache held."""
+        pipeline, __ = cached_pipeline
+        pairs = _pairs([f"load row {i}" for i in range(10)])
+        uncached = SequentialScorer(pipeline).score_pairs(pairs)
+        for held in range(1, len(pairs)):
+            scorer = SequentialScorer(pipeline, cache=ScoreCache(capacity=64))
+            scorer.score_pairs(pairs[:held])
+            assert scorer.score_pairs(pairs) == uncached, held
+            assert scorer.last_metrics.cache["misses"] < len(pairs)
+
     def test_parallel_admits_in_schedule_order(self, cached_pipeline):
         """Worker results are collected in schedule order, so a bounded
         cache ends up holding exactly what the sequential engine leaves."""
@@ -463,12 +477,13 @@ class TestOverlappingRuns:
 
 def _content_scores(batch):
     """A deterministic stand-in scorer: probability from row content only."""
-    out = []
-    for row in range(batch.num_pairs):
-        real = int(batch.mask[row].sum())
-        ids = tuple(batch.ids[row, :real].tolist())
-        out.append((hash(ids) % 997) / 997.0)
-    return np.asarray(out, dtype=np.float64)
+    lengths = batch.mask.sum(axis=1).astype(int)
+    return np.asarray([_content_score(batch.ids[row, :lengths[row]].tolist())
+                       for row in range(batch.num_pairs)], dtype=np.float64)
+
+
+def _content_score(sequence):
+    return (hash(tuple(sequence)) % 997) / 997.0
 
 
 @given(st.lists(st.lists(st.integers(0, 30), max_size=12), max_size=40))
@@ -476,19 +491,14 @@ def _content_scores(batch):
 def test_dedup_scatter_is_identity_on_decisions(sequences):
     """Property: dedup+scatter never changes what any position receives.
 
-    With a scorer that is a pure function of row content, scheduling with
-    dedup on and off must fill identical probability vectors — the dedup
-    pass may only change *how often* content is scored, never *what* a
-    position gets.
+    With a scorer that is a pure function of row content, the scheduled,
+    deduplicated batches must fill exactly the vector that scoring every
+    position on its own gives — the dedup pass may only change
+    *how often* content is scored, never *what* a position gets.
     """
-    vocab = Vocabulary()
-    outputs = []
-    for dedup in (False, True):
-        scheduler = BatchScheduler(vocab, max_len=16, max_batch_pairs=7,
-                                   dedup=dedup)
-        filled = np.full(len(sequences), np.nan)
-        for batch in scheduler.schedule_encoded(sequences):
-            batch.scatter(filled, _content_scores(batch))
-        assert not np.isnan(filled).any()
-        outputs.append(filled)
-    np.testing.assert_array_equal(outputs[0], outputs[1])
+    scheduler = BatchScheduler(Vocabulary(), max_len=16, max_batch_pairs=7)
+    filled = np.full(len(sequences), np.nan)
+    for batch in scheduler.schedule_encoded(sequences):
+        batch.scatter(filled, _content_scores(batch))
+    expected = [_content_score(seq) for seq in sequences]
+    np.testing.assert_array_equal(filled, np.asarray(expected, dtype=float))
