@@ -142,16 +142,17 @@ def fit_platt(probabilities: Sequence[float], labels: Sequence[int],
     return float(a), float(b)
 
 
-def fit_calibrator(pipeline, valid: ERDataset, bins: int = 10,
-                   batch_size: int = 64) -> Calibrator:
-    """Fit a :class:`Calibrator` for ``pipeline`` on a labeled hold-out."""
+def fit_calibrator(pipeline, valid: ERDataset, bins: int = 10) -> Calibrator:
+    """Fit a :class:`Calibrator` for ``pipeline`` on a labeled hold-out.
+
+    The hold-out is scored through the exact oracle
+    :meth:`~repro.pipeline.ERPipeline.score_pairs`, so the map is fit on
+    exactly the probabilities every engine serves.
+    """
     if not valid.is_labeled:
         raise ValueError("calibration needs a labeled validation set")
-    probabilities = []
-    for start in range(0, len(valid), batch_size):
-        batch = valid.pairs[start:start + batch_size]
-        probabilities.extend(pipeline.matcher.probabilities(
-            pipeline.extractor(batch)))
+    probabilities = [decision.probability
+                     for decision in pipeline.score_pairs(valid.pairs)]
     labels = valid.labels()
     before = expected_calibration_error(probabilities, labels, bins).ece
     a, b = fit_platt(probabilities, labels)

@@ -12,11 +12,15 @@ MinHash over the entity's token set delivers all three:
   ``hash`` is salted per process and would break cross-process
   determinism; a per-process memo table keeps the amortized cost at one
   dict hit per token occurrence);
-* ``num_perm`` permutations are simulated with universal hashing
-  ``(a * x + b) mod p`` over a Mersenne prime, with ``(a, b)`` drawn once
-  from a seeded generator — the whole signature matrix for a chunk of
-  entities is one broadcasted numpy expression plus a segmented
-  ``minimum.reduceat``;
+* ``num_perm`` permutations are simulated with universal-style hashing
+  ``(a * x + b) mod p`` over a Mersenne prime, in 32-bit limbs (see
+  :meth:`MinHasher._universal` for where it departs from the exact
+  family), with ``(a, b)`` drawn once from a seeded generator.  A
+  chunk's *distinct* token hashes are permuted once, in one broadcasted
+  numpy expression; each row's signature is then a gather of its tokens'
+  columns plus a segmented ``minimum.reduceat``, a fixed block of rows
+  at a time, so memory follows the chunk's vocabulary and the block, not
+  its token occurrences;
 * signatures fold into ``bands`` LSH keys of ``rows`` hashes each
   (``num_perm = bands * rows``); two entities collide in a band iff that
   band's ``rows`` MinHash values all agree, so a pair with token-set
@@ -49,6 +53,10 @@ _PRIME = (1 << 61) - 1
 #: rows collide rarely.
 DEFAULT_BANDS = 32
 DEFAULT_ROWS = 4
+
+#: Rows per gather-and-reduce block of :meth:`MinHasher.signatures`: the
+#: ``(num_perm, occurrences)`` gather exists for one block at a time.
+_BLOCK_ROWS = 512
 
 _token_memo: Dict[str, int] = {}
 
@@ -105,40 +113,53 @@ class MinHasher:
     def signatures(self, token_sets: Sequence[Set[str]]) -> np.ndarray:
         """``(len(token_sets), num_perm)`` uint64 signature matrix.
 
-        One vectorized pass per chunk: all token hashes are flattened into
-        a single array, permuted under every universal hash at once, and
-        reduced per entity with ``minimum.reduceat``.  An empty token set
-        gets the all-``PRIME`` sentinel signature (it can never collide
-        with a non-empty one, because ``(a * x + b) mod p < p``).
+        Each distinct token hash of the call is permuted under every
+        universal hash once.  Then, :data:`_BLOCK_ROWS` rows at a time, the
+        rows' token columns are gathered and reduced per entity with
+        ``minimum.reduceat``.  An empty token set gets the all-``PRIME``
+        sentinel signature (it can never collide with a non-empty one,
+        because ``(a * x + b) mod p < p``).
         """
         count = len(token_sets)
         out = np.full((count, self.num_perm), _PRIME, dtype=np.uint64)
-        lengths = np.array([len(s) for s in token_sets], dtype=np.int64)
+        lengths = np.fromiter((len(s) for s in token_sets), dtype=np.int64,
+                              count=count)
         total = int(lengths.sum())
         if total == 0:
             return out
-        flat = np.empty(total, dtype=np.uint64)
-        position = 0
-        for token_set in token_sets:
-            for token in token_set:
-                flat[position] = token_hash(token)
-                position += 1
-        # (num_perm, total): simulate every permutation over every token.
-        # Work in python-int-free uint64 space: (a*x + b) mod p with
-        # wraparound-safe 128-bit intermediate via object-free splitting.
-        hashed = self._universal(flat)
-        nonempty = lengths > 0
-        offsets = np.zeros(int(nonempty.sum()), dtype=np.int64)
-        np.cumsum(lengths[nonempty][:-1], out=offsets[1:])
-        mins = np.minimum.reduceat(hashed, offsets, axis=1)
-        out[nonempty] = mins.T
+        flat = np.fromiter((token_hash(token) for token_set in token_sets
+                            for token in token_set),
+                           dtype=np.uint64, count=total)
+        # Keep the input 1-D: ``return_inverse``'s shape for n-d input
+        # differs across numpy releases.
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        # (num_perm, distinct): every permutation over every distinct token.
+        hashed = self._universal(distinct)
+        starts = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        for first in range(0, count, _BLOCK_ROWS):
+            last = min(first + _BLOCK_ROWS, count)
+            nonempty = first + np.flatnonzero(lengths[first:last])
+            if nonempty.size == 0:
+                continue
+            # np.take returns a C-ordered gather; fancy indexing an
+            # F-ordered one, on which reduceat runs over 2x slower.
+            block = np.take(hashed, inverse[starts[first]:starts[last]],
+                            axis=1)
+            out[nonempty] = np.minimum.reduceat(
+                block, starts[nonempty] - starts[first], axis=1).T
         return out
 
     def _universal(self, values: np.ndarray) -> np.ndarray:
-        """``(a * x + b) mod PRIME`` for every permutation, exactly.
+        """``(a * x + b) mod PRIME`` for every permutation, in 32-bit limbs.
 
         uint64 multiplication would overflow, so the product is computed
-        in 32-bit limbs; all arithmetic stays vectorized numpy.
+        in 32-bit limbs; all arithmetic stays vectorized numpy.  It is not
+        the exact family: ``term_mid << 32`` keeps only the middle limb's
+        low 32 bits, and the three-term sum can wrap at 2^64.  It is still
+        a fixed, deterministic family, pinned against a Python-int
+        reference in ``tests/test_scale_properties.py``; making it exact
+        would change every signature and candidate stream.
         """
         a = self._a[:, None]
         x = values[None, :]

@@ -31,7 +31,8 @@ import numpy as np
 
 from ..data import EntityPair
 from ..telemetry import REGISTRY
-from ..text import Vocabulary, bucket_by_length, pad_sequences
+from ..text import (ATT, VAL, Vocabulary, bucket_by_length,
+                    pad_sequences, tokenize)
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,39 @@ class BatchScheduler:
     # -- scheduling -------------------------------------------------------- #
     def encode(self, pairs: Sequence[EntityPair]) -> List[List[int]]:
         """Truncated token-id sequences, exactly as scheduled batches carry
-        them — also the content half of a :mod:`repro.serve.cache` key."""
-        return [self.vocab.encode_tokens(pair.tokens())[:self.max_len]
+        them — also the content half of a :mod:`repro.serve.cache` key.
+
+        Equal to ``vocab.encode_tokens(pair.tokens())[:max_len]``, but each
+        distinct attribute name and value is tokenized and looked up once
+        per call: ``[ATT] name [VAL]`` and value ids are memoized in two
+        dicts local to the call, keyed on ``str(...)`` (``1``, ``1.0`` and
+        ``True`` are one dict key but three strings), and concatenated into
+        ``[CLS] S(a) [SEP] S(b) [SEP]``.
+        """
+        encode_tokens = self.vocab.encode_tokens
+        names: Dict[str, List[int]] = {}
+        values: Dict[str, List[int]] = {}
+
+        def serialize(attributes) -> List[int]:
+            ids: List[int] = []
+            for attr, value in attributes.items():
+                key = str(attr)
+                framed = names.get(key)
+                if framed is None:
+                    framed = names[key] = encode_tokens(
+                        [ATT, *tokenize(key), VAL])
+                ids += framed
+                if value is not None:
+                    key = str(value)
+                    body = values.get(key)
+                    if body is None:
+                        body = values[key] = encode_tokens(tokenize(key))
+                    ids += body
+            return ids
+
+        cls, sep = [self.vocab.cls_id], [self.vocab.sep_id]
+        return [(cls + serialize(pair.left.attributes) + sep
+                 + serialize(pair.right.attributes) + sep)[:self.max_len]
                 for pair in pairs]
 
     def _cut(self, order: Sequence[int], padded_length: int) -> Iterator[List[int]]:

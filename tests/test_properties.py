@@ -2,7 +2,8 @@
 
 These lock the *invariants* the serving engine builds on: tokenization
 round-trips, padding preserves content and reports it faithfully in the
-mask, and blockers only ever emit a duplicate-free subset of the cartesian
+mask, the scheduler's memoized pair encoding equals the serialized pair's
+ids, and blockers only ever emit a duplicate-free subset of the cartesian
 product.
 """
 
@@ -10,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.blocking import OverlapBlocker, QGramBlocker
-from repro.data import Entity
+from repro.data import Entity, EntityPair
+from repro.serve.scheduler import BatchScheduler
 from repro.text import (SPECIAL_TOKENS, Vocabulary, bucket_by_length,
                         pad_sequences, tokenize)
 
@@ -85,6 +87,42 @@ class TestPadSequencesInvariants:
             assert padded % rounding == 0 or padded == max_len
             for i in members:
                 assert min(lengths[i], max_len) <= padded
+
+
+#: Attribute names and values that stress the per-call encode memo:
+#: bracketed specials in value text, values equal to attribute names,
+#: non-``str`` values that are one dict key but three strings, and text
+#: long enough to be cut at ``max_len``.
+ATTRIBUTE_NAMES = st.sampled_from(["name", "city", "price", "1", "[val]"])
+ATTRIBUTE_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from(["name", "city", "[sep]", "the [SEP] end", "1.5",
+                     "joe's diner 1995", ""]),
+    st.sampled_from([1, 1.0, True, 0, 2.5]),
+    st.text(alphabet="ab1. [sep]", max_size=24))
+ENTITIES = st.builds(lambda attributes: Entity("e", attributes),
+                     st.dictionaries(ATTRIBUTE_NAMES, ATTRIBUTE_VALUES,
+                                     max_size=4))
+
+
+@st.composite
+def pair_lists(draw):
+    """Pairs over a small entity pool, so one call repeats values."""
+    pool = draw(st.lists(ENTITIES, min_size=1, max_size=5))
+    index = st.integers(0, len(pool) - 1)
+    picks = draw(st.lists(st.tuples(index, index), max_size=10))
+    return [EntityPair(pool[i], pool[j]) for i, j in picks]
+
+
+class TestSchedulerEncode:
+    @SETTINGS
+    @given(pair_lists(), st.integers(3, 40))
+    def test_encode_equals_serialized_pair_ids(self, pairs, max_len):
+        vocab = Vocabulary(["name", "city", "1", "1.5", "true", "the",
+                            "end", "joe", "'", "1995", "a", "b"])
+        scheduler = BatchScheduler(vocab, max_len)
+        assert scheduler.encode(pairs) == [
+            vocab.encode_tokens(pair.tokens())[:max_len] for pair in pairs]
 
 
 def _entities(prefix, token_lists):

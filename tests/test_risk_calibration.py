@@ -172,6 +172,25 @@ class TestSnapshotCalibration:
         loaded = load_calibrator(ArtifactStore(snapshot))
         assert loaded is not None and loaded.a == calibrator.a
 
+    def test_fit_scores_hold_out_in_no_grad_mode(self, snapshot, valid,
+                                                  monkeypatch):
+        # The hold-out goes through the exact oracle, which builds no
+        # autograd tape: every extractor forward runs with grad off.
+        from repro.nn import grad_enabled
+        from repro.pipeline import ERPipeline
+        from repro.risk import fit_calibrator
+        pipeline = ERPipeline.load(snapshot)
+        encode = pipeline.extractor.encode
+        modes = []
+
+        def recording(ids, mask):
+            modes.append(grad_enabled())
+            return encode(ids, mask)
+
+        monkeypatch.setattr(pipeline.extractor, "encode", recording)
+        fit_calibrator(pipeline, valid)
+        assert modes and not any(modes)
+
     def test_recalibration_is_idempotent_on_digest(self, snapshot, valid):
         __, first = calibrate_snapshot(snapshot, valid)
         __, second = calibrate_snapshot(snapshot, valid)

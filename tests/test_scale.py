@@ -3,6 +3,8 @@ transitive clustering, cluster quality, and the streamed synthetic corpus —
 plus the streaming-substrate edge cases they lean on (ragged CSV rows,
 overlap stop-word boundaries)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,32 @@ class TestMinHasher:
         assert token_hash("alpha") == token_hash("alpha")
         assert token_hash("alpha") != token_hash("beta")
         assert 0 <= token_hash("alpha") < (1 << 61) - 1
+
+    def test_peak_memory_follows_vocabulary_not_occurrences(self):
+        # A fixed 2,000-token vocabulary at 12 tokens per row: 8x the rows
+        # is 8x the token occurrences but the same distinct tokens, so the
+        # working memory beyond the output must stay nearly flat.
+        rng = np.random.default_rng(0)
+        vocabulary = np.array([f"tok{i}" for i in range(2000)])
+        hasher = MinHasher()
+
+        def token_sets(rows):
+            return [set(rng.choice(vocabulary, size=12,
+                                   replace=False).tolist())
+                    for __ in range(rows)]
+
+        def working_peak(sets):
+            tracemalloc.start()
+            try:
+                out = hasher.signatures(sets)
+                __, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - out.nbytes
+
+        small, large = token_sets(2048), token_sets(16384)
+        hasher.signatures(small)  # fill the token-hash memo first
+        assert working_peak(large) < 1.5 * working_peak(small)
 
 
 # --------------------------------------------------------------------------- #

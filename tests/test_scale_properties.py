@@ -9,6 +9,10 @@ Three contracts the end-to-end bench's determinism rests on:
 * the chunked table reader is exactly the eager reader — concatenating
   :func:`iter_entity_table` chunks reproduces :func:`load_entity_table`
   for any chunk size.
+
+Under all three sits the signature itself, pinned here against a
+pure-Python reference: each row's minimum over its tokens, one token at a
+time, of the hash family's limb arithmetic in Python ints.
 """
 
 import tempfile
@@ -19,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data import (Entity, iter_entity_table, load_entity_table,
                         save_entity_table)
-from repro.scale import MinHasher, ShardedBlocker, UnionFind
+from repro.scale import MinHasher, ShardedBlocker, UnionFind, token_hash
 from repro.scale.cluster import canonical_clusters
+from repro.scale.minhash import _BLOCK_ROWS
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -109,6 +114,54 @@ class TestLshSupersetGuarantee:
                                         [Entity("b0", {"text": text})])
         assert [(p.left.entity_id, p.right.entity_id)
                 for p in candidates] == [("a0", "b0")]
+
+
+def _reference_permutation(a, b, x):
+    """``MinHasher._universal``'s limb formula for one value, in Python ints.
+
+    It is not ``(a * x + b) mod (2^61 - 1)``: the middle limb's shift by
+    32 bits and the three-term sum wrap at 2^64 in uint64, and the
+    reference makes both wraps explicit.
+    """
+    prime, wrap, low = (1 << 61) - 1, 1 << 64, (1 << 32) - 1
+    hi_a, lo_a, hi_x, lo_x = a >> 32, a & low, x >> 32, x & low
+    term_hi = hi_a * hi_x % prime
+    term_mid = (hi_a * lo_x + lo_a * hi_x) % prime
+    term_lo = lo_a * lo_x % prime
+    product = (term_hi * 8 + (term_mid << 32) % wrap % prime
+               + term_lo) % wrap % prime
+    return (product + b) % prime
+
+
+def _reference_signature(hasher, tokens):
+    """Per permutation, the minimum over the set's tokens; ``2^61 - 1``
+    for every permutation of an empty set."""
+    if not tokens:
+        return [(1 << 61) - 1] * hasher.num_perm
+    return [min(_reference_permutation(int(a), int(b), token_hash(t))
+                for t in tokens)
+            for a, b in zip(hasher._a, hasher._b)]
+
+
+class TestSignatureExactness:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sets(WORDS, max_size=8), min_size=1, max_size=6),
+           st.one_of(st.integers(0, 40),
+                     st.integers(_BLOCK_ROWS - 2, 2 * _BLOCK_ROWS + 2)),
+           st.integers(min_value=0, max_value=3),
+           st.randoms(use_true_random=False))
+    def test_signatures_equal_python_reference(self, pool, rows, seed, rnd):
+        # Rows are drawn from a small pool of sets (some empty), so tokens
+        # repeat across rows and row counts straddle the reduce block.
+        token_sets = rnd.choices(pool, k=rows)
+        hasher = MinHasher(seed=seed)
+        signatures = hasher.signatures(token_sets)
+        assert signatures.shape == (rows, hasher.num_perm)
+        assert signatures.dtype == np.uint64
+        reference = {frozenset(s): _reference_signature(hasher, s)
+                     for s in pool}
+        for row, tokens in zip(signatures.tolist(), token_sets):
+            assert row == reference[frozenset(tokens)]
 
 
 class TestChunkedReaderIdentity:
