@@ -127,10 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests are rejected with retry-after "
                             "(default 4096)")
     serve.add_argument("--max-batch-pairs", type=int, default=256,
-                       help="micro-batch flush threshold in pairs "
+                       help="a request is scored as soon as the scoring "
+                            "lane is idle; only requests that queue behind "
+                            "a busy lane merge, and a merge of this many "
+                            "pairs flushes without waiting for the lane "
                             "(default 256)")
-    serve.add_argument("--flush-interval", type=float, default=0.005,
-                       help="micro-batch deadline in seconds (default 0.005)")
     serve.add_argument("--cache-capacity", type=int, default=262144,
                        help="shared score-cache entries (default 262144)")
     serve.add_argument("--risk-band", default=None, metavar="LOW:HIGH",
@@ -391,8 +392,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               "wire with op=publish")
     config = DaemonConfig(host=args.host, port=args.port,
                           max_queued_pairs=args.max_queued_pairs,
-                          max_batch_pairs=args.max_batch_pairs,
-                          flush_interval=args.flush_interval)
+                          max_batch_pairs=args.max_batch_pairs)
 
     async def main() -> None:
         loop = asyncio.get_running_loop()

@@ -12,11 +12,12 @@ module is that shape:
   rejects with :class:`BackpressureError` carrying a ``retry_after``
   estimated from the recent scoring rate — clients shed load by retrying
   later instead of piling onto an unbounded queue.
-* **Cross-request continuous micro-batching.**  Concurrent small requests
-  for the same (domain, snapshot digest) are merged by a collector that
-  flushes when the merged size reaches ``max_batch_pairs`` /
-  ``max_batch_tokens`` or when the oldest entry's ``flush_interval``
-  deadline expires.  The whole flush rides the *existing* engine stack —
+* **Work-conserving micro-batching.**  A request goes to the scoring lane
+  the moment the lane is idle; nothing waits for company.  Only requests
+  that queue behind a busy lane merge: a collector per (domain, snapshot
+  digest) gathers them, and the flush in flight hands every pending
+  collector to the lane as it completes.  ``max_batch_pairs`` closes a
+  collector early.  A flush rides the *existing* engine stack —
   scheduler, score cache, worker threads — in one scoring-lane round,
   and each caller gets its own decisions back.  Within the flush each
   request still gets its own engine run.  Scoring is batch-invariant
@@ -31,7 +32,8 @@ module is that shape:
   digest, so a merge can never mix snapshots), new requests score on the
   new one, and the content-addressed cache invalidates by construction.
 * **Observability.**  Every request runs under a ``serve.request`` span
-  (admission → flush → response) and the ``serve.daemon.*`` registry
+  (admission → flush → response), and its engine run's ``serve.run`` and
+  ``serve.batch`` spans nest under it; the ``serve.daemon.*`` registry
   family counts requests, rejections, flushes, merged pairs, hot swaps,
   and SLO misses; ``serve.daemon.request_seconds`` histograms end-to-end
   latency.
@@ -52,13 +54,14 @@ The wire protocol is JSON lines over TCP (one object per line, ``op`` =
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..data import Entity, EntityPair
@@ -88,18 +91,18 @@ class BackpressureError(RuntimeError):
 
 @dataclass(frozen=True)
 class DaemonConfig:
-    """Knobs for admission, merging, and latency accounting."""
+    """Knobs for admission, merging, and latency accounting.
+
+    No flush timer: a request is scored as soon as the lane is idle, and
+    only what queues behind a busy lane merges, up to ``max_batch_pairs``.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is reported at startup
     #: Admission high-water mark: queued + inflight pairs past this reject.
     max_queued_pairs: int = 4096
-    #: Collector flush threshold on merged pairs.
+    #: Merged pairs that flush a collector without waiting for the lane.
     max_batch_pairs: int = 256
-    #: Collector flush threshold on merged (truncated) token estimate.
-    max_batch_tokens: int = 16384
-    #: Deadline from the oldest queued entry to a forced flush (seconds).
-    flush_interval: float = 0.005
     #: Request-latency SLO; responses slower than this bump
     #: ``serve.daemon.slo_miss``.
     slo_seconds: float = 2.0
@@ -112,45 +115,34 @@ class DaemonConfig:
             raise ValueError("max_queued_pairs must be positive")
         if self.max_batch_pairs <= 0:
             raise ValueError("max_batch_pairs must be positive")
-        if self.max_batch_tokens <= 0:
-            raise ValueError("max_batch_tokens must be positive")
-        if self.flush_interval <= 0:
-            raise ValueError("flush_interval must be positive")
 
 
 class _Pending:
-    """One admitted request waiting in a collector."""
+    """One admitted request waiting in a collector; its engine run executes
+    in ``context``, captured at submit with the request's span open."""
 
-    __slots__ = ("request", "lease", "future", "span", "submitted", "tokens")
+    __slots__ = ("request", "lease", "future", "span", "submitted", "context")
 
     def __init__(self, request: ScoreRequest, lease: TenantLease,
                  future: "asyncio.Future", span, submitted: float,
-                 tokens: int):
+                 context: contextvars.Context):
         self.request = request
         self.lease = lease
         self.future = future
         self.span = span
         self.submitted = submitted
-        self.tokens = tokens
+        self.context = context
 
 
 class _Collector:
     """Pending requests for one (domain, digest), awaiting merge + flush."""
 
-    __slots__ = ("key", "entries", "pairs", "tokens", "timer")
+    __slots__ = ("key", "entries", "pairs")
 
     def __init__(self, key: Tuple[str, str]):
         self.key = key
         self.entries: List[_Pending] = []
         self.pairs = 0
-        self.tokens = 0
-        self.timer: Optional[asyncio.TimerHandle] = None
-
-
-def _token_estimate(pairs: Tuple[EntityPair, ...], max_len: int) -> int:
-    """Upper-bound the padded footprint without touching the vocabulary
-    (serialization is pure string work, safe on the event loop)."""
-    return sum(min(len(pair.tokens()), max_len) for pair in pairs)
 
 
 class ServeDaemon:
@@ -173,7 +165,7 @@ class ServeDaemon:
             max_workers=1, thread_name_prefix="repro-serve-score")
         self._queued_pairs = 0     # admitted, not yet handed to the executor
         self._inflight_pairs = 0   # handed to the executor, not yet answered
-        self._inflight_flushes = 0
+        self._flights: Set["asyncio.Future"] = set()  # flushes on the lane
         self._pairs_per_second = 0.0  # EMA of merged scoring throughput
         self._accepting = True
         self._closed = False
@@ -229,44 +221,39 @@ class ServeDaemon:
         span = telemetry.span("serve.request", domain=request.domain,
                               request_id=request.request_id,
                               num_pairs=num_pairs)
-        max_len = lease.engine.scheduler.max_len
         entry = _Pending(request, lease, loop.create_future(), span,
-                         loop.time(), _token_estimate(request.pairs, max_len))
+                         loop.time(), contextvars.copy_context())
         key = (request.domain, lease.digest or "")
         collector = self._collectors.get(key)
         if collector is None:
             collector = self._collectors[key] = _Collector(key)
         collector.entries.append(entry)
         collector.pairs += num_pairs
-        collector.tokens += entry.tokens
         self._queued_pairs += num_pairs
-        if (collector.pairs >= config.max_batch_pairs
-                or collector.tokens >= config.max_batch_tokens):
+        # An idle lane takes the request now; behind a busy lane it merges
+        # until that flush completes (see _deliver) or the collector fills.
+        if not self._flights or collector.pairs >= config.max_batch_pairs:
             self._flush(key)
-        elif collector.timer is None:
-            collector.timer = loop.call_later(config.flush_interval,
-                                              self._flush, key)
-        return await entry.future
+        try:
+            return await entry.future
+        finally:
+            span.finish()  # in this task, so it leaves this task's span stack
 
     # -- merge + flush ------------------------------------------------------- #
     def _flush(self, key: Tuple[str, str]) -> None:
-        collector = self._collectors.pop(key, None)
-        if collector is None or not collector.entries:
-            return
-        if collector.timer is not None:
-            collector.timer.cancel()
+        collector = self._collectors.pop(key)
         loop = asyncio.get_running_loop()
         self._queued_pairs -= collector.pairs
         self._inflight_pairs += collector.pairs
-        self._inflight_flushes += 1
         self.stats["flushes"] += 1
         self.stats["merged_requests"] += len(collector.entries)
         self.stats["merged_pairs"] += collector.pairs
         REGISTRY.counter("serve.daemon.flushes").inc()
         REGISTRY.counter("serve.daemon.merged_pairs").inc(collector.pairs)
-        future = loop.run_in_executor(self._executor, self._score_merged,
+        flight = loop.run_in_executor(self._executor, self._score_merged,
                                       collector)
-        future.add_done_callback(
+        self._flights.add(flight)
+        flight.add_done_callback(
             lambda f, c=collector: self._deliver(c, f))
 
     def _score_merged(self, collector: _Collector):
@@ -282,15 +269,18 @@ class ServeDaemon:
         entries = collector.entries
         engine = entries[0].lease.engine
         started = time.perf_counter()
-        responses = [engine.score_request(entry.request)
+        responses = [entry.context.run(engine.score_request, entry.request)
                      for entry in entries]
         return responses, time.perf_counter() - started
 
     def _deliver(self, collector: _Collector, future) -> None:
         """Loop-side: hand each caller its response from the shared flush."""
         loop = asyncio.get_running_loop()
+        self._flights.discard(future)
         self._inflight_pairs -= collector.pairs
-        self._inflight_flushes -= 1
+        if not self._flights:  # idle lane: nothing else would flush these
+            for key in list(self._collectors):
+                self._flush(key)
         error = future.exception()
         responses, wall = ((None, 0.0) if error is not None
                            else future.result())
@@ -304,14 +294,12 @@ class ServeDaemon:
             entry.span.set(latency_seconds=latency)
             if error is not None:
                 entry.span.set(error=str(error))
-                entry.span.finish()
                 self.stats["failed"] += 1
                 REGISTRY.counter("serve.daemon.failed").inc()
                 if not entry.future.cancelled():
                     entry.future.set_exception(error)
             else:
                 response = responses[index]
-                entry.span.finish()
                 self.stats["responses"] += 1
                 REGISTRY.histogram("serve.daemon.request_seconds").observe(
                     latency)
@@ -371,13 +359,13 @@ class ServeDaemon:
         self._accepting = False
         for key in list(self._collectors):
             self._flush(key)
-        deadline = time.monotonic() + timeout
-        while (self._inflight_flushes or self._collectors):
-            if time.monotonic() > deadline:
+        if self._flights:
+            __, pending = await asyncio.wait(set(self._flights),
+                                             timeout=timeout)
+            if pending:
                 raise TimeoutError(
-                    f"daemon drain timed out with {self._inflight_flushes} "
+                    f"daemon drain timed out with {len(pending)} "
                     f"flush(es) in flight")
-            await asyncio.sleep(0.002)
 
     async def aclose(self) -> None:
         """Drain, then tear down the executor and every tenant engine."""

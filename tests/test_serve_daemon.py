@@ -7,8 +7,11 @@ The invariants under test are the serving layer's contract:
   engine on *whichever* snapshot answered;
 * admission control rejects with an actionable retry hint instead of
   queueing unboundedly;
-* cross-request micro-batching merges concurrent requests without
-  changing a single decision bit.
+* dispatch is work-conserving: a request reaches an idle scoring lane
+  at once, only requests queued behind a busy lane merge, and merging
+  never changes a single decision bit;
+* each request is its own trace: its engine run's spans nest under its
+  ``serve.request`` span.
 """
 
 import asyncio
@@ -22,8 +25,9 @@ from repro.data import Entity, EntityPair
 from repro.pipeline import ERPipeline
 from repro.serve import (BackpressureError, DaemonClient, DaemonConfig,
                          DaemonError, ModelRegistry, ScoreCache,
-                         ScoreRequest, SequentialScorer, UnknownDomain,
-                         as_request, start_daemon_thread)
+                         ScoreRequest, SequentialScorer, ServeDaemon,
+                         UnknownDomain, as_request, start_daemon_thread)
+from repro.telemetry import TRACER, TelemetrySession
 
 
 def _pairs(texts, tag=""):
@@ -189,8 +193,7 @@ class TestDaemonAdmission:
     def test_backpressure_rejects_past_high_water(self, snapshot_a):
         __, directory = snapshot_a
         pairs = _pairs(["admission row %d" % i for i in range(8)], tag="q")
-        config = DaemonConfig(max_queued_pairs=10, max_batch_pairs=100,
-                              flush_interval=0.02)
+        config = DaemonConfig(max_queued_pairs=10, max_batch_pairs=100)
 
         async def scenario():
             from repro.serve import ServeDaemon
@@ -213,36 +216,163 @@ class TestDaemonAdmission:
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=120))
 
-    def test_merges_concurrent_requests_into_one_flush(self, snapshot_a):
-        pipeline, directory = snapshot_a
-        all_pairs = _pairs(["merge row %d" % i for i in range(12)], tag="m")
-        chunks = [all_pairs[i:i + 4] for i in range(0, 12, 4)]
-        # The contract: a merged request's decisions are bit-identical to a
-        # standalone sequential engine scoring that request ALONE — the
-        # flush amortizes overhead, it never changes batch composition.
-        expected = [SequentialScorer(pipeline).score_pairs(chunk)
-                    for chunk in chunks]
-        config = DaemonConfig(max_batch_pairs=256, flush_interval=0.25)
+
+def _submit_behind_held_lane(monkeypatch, directory, chunks, config,
+                             fail=False):
+    """Hold the first engine run on the scoring lane (and make it raise if
+    ``fail``), submit one request per chunk a loop step apart, then release
+    the lane.  Returns every request's result, the daemon's stats while the
+    lane was held, and its stats once every request was answered."""
+
+    async def scenario():
+        registry = ModelRegistry()
+        registry.publish("default", directory)
+        with registry.resolve("default") as lease:
+            engine = lease.engine
+        score_request = engine.score_request
+        release = threading.Event()
+        calls = []
+
+        def gated(request):
+            calls.append(request.request_id)
+            if len(calls) == 1:
+                assert release.wait(60), "the lane was never released"
+                if fail:
+                    raise RuntimeError("engine failed")
+            return score_request(request)
+
+        monkeypatch.setattr(engine, "score_request", gated)
+        daemon = ServeDaemon(registry, config)
+        try:
+            tasks = []
+            for chunk in chunks:
+                tasks.append(asyncio.ensure_future(
+                    daemon.submit(ScoreRequest(pairs=tuple(chunk)))))
+                await asyncio.sleep(0)  # submit ran up to its await
+            held = daemon.snapshot_stats()
+        finally:
+            release.set()
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        stats = daemon.snapshot_stats()
+        await daemon.aclose()
+        return results, held, stats
+
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+
+
+class TestDaemonDispatch:
+    """Work-conserving dispatch: an idle lane takes a request at once, and
+    only what queues behind a busy lane merges."""
+
+    @staticmethod
+    def _chunks(tag, count, size=4):
+        pairs = _pairs([f"{tag} row {i}" for i in range(count * size)],
+                       tag=tag)
+        return [pairs[i:i + size] for i in range(0, count * size, size)]
+
+    def test_lone_request_dispatches_at_once(self, snapshot_a):
+        __, directory = snapshot_a
+        (chunk,) = self._chunks("lone", 1)
 
         async def scenario():
-            from repro.serve import ServeDaemon
             registry = ModelRegistry()
             registry.publish("default", directory)
-            daemon = ServeDaemon(registry, config)
-            responses = await asyncio.gather(*[
-                daemon.submit(ScoreRequest(pairs=tuple(chunk)))
-                for chunk in chunks])
-            got = [r.decisions for r in responses]
+            daemon = ServeDaemon(registry, DaemonConfig())
+            task = asyncio.ensure_future(
+                daemon.submit(ScoreRequest(pairs=tuple(chunk))))
+            await asyncio.sleep(0)  # submit ran up to its await
             stats = daemon.snapshot_stats()
+            answered = task.done()
+            await task
             await daemon.aclose()
-            return got, stats
+            return stats, answered
 
-        got, stats = asyncio.run(asyncio.wait_for(scenario(), timeout=120))
-        assert got == expected  # merged scoring is bit-identical
-        assert stats["flushes"] == 1  # all three requests shared one batch
-        assert stats["merged_requests"] == 3
-        assert stats["requests_per_flush"] == 3.0
-        assert stats["merge_efficiency"] == pytest.approx(2 / 3)
+        stats, answered = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=120))
+        assert not answered
+        assert stats["flushes"] == 1 and stats["queued_pairs"] == 0
+        assert stats["inflight_pairs"] == len(chunk)
+
+    def test_requests_behind_a_busy_lane_share_the_next_flush(
+            self, snapshot_a, monkeypatch):
+        pipeline, directory = snapshot_a
+        chunks = self._chunks("merge", 4)
+        # The contract: a merged request's decisions are bit-identical to a
+        # standalone sequential engine scoring that request ALONE.
+        expected = [SequentialScorer(pipeline).score_pairs(chunk)
+                    for chunk in chunks]
+        results, held, stats = _submit_behind_held_lane(
+            monkeypatch, directory, chunks, DaemonConfig(max_batch_pairs=256))
+        assert held["flushes"] == 1 and held["queued_pairs"] == 12
+        assert [r.decisions for r in results] == expected
+        # The three queued requests shared the second flush.
+        assert stats["flushes"] == 2 and stats["merged_requests"] == 4
+        assert stats["merge_efficiency"] == pytest.approx(2 / 4)
+
+    def test_full_collector_flushes_without_waiting_for_the_lane(
+            self, snapshot_a, monkeypatch):
+        pipeline, directory = snapshot_a
+        chunks = self._chunks("cap", 4)
+        expected = [SequentialScorer(pipeline).score_pairs(chunk)
+                    for chunk in chunks]
+        results, held, stats = _submit_behind_held_lane(
+            monkeypatch, directory, chunks, DaemonConfig(max_batch_pairs=8))
+        # Requests 2 and 3 reached the 8-pair cap and flushed behind the
+        # held lane; request 4 waited for the lane to go idle.
+        assert held["flushes"] == 2 and held["queued_pairs"] == 4
+        assert [r.decisions for r in results] == expected
+        assert stats["flushes"] == 3 and stats["merged_requests"] == 4
+
+    def test_failed_flush_still_dispatches_what_queued_behind_it(
+            self, snapshot_a, monkeypatch):
+        pipeline, directory = snapshot_a
+        chunks = self._chunks("fail", 3)
+        expected = [SequentialScorer(pipeline).score_pairs(chunk)
+                    for chunk in chunks[1:]]
+        results, held, stats = _submit_behind_held_lane(
+            monkeypatch, directory, chunks, DaemonConfig(), fail=True)
+        assert held["queued_pairs"] == 8
+        assert isinstance(results[0], RuntimeError)
+        assert [r.decisions for r in results[1:]] == expected
+        assert stats["failed"] == 1 and stats["responses"] == 2
+        assert stats["queued_pairs"] == 0 and stats["inflight_pairs"] == 0
+
+
+class TestDaemonTracing:
+    def test_each_request_is_its_own_trace(self, snapshot_a, tmp_path):
+        """Sequential requests from one task are siblings, not a chain,
+        and each engine run's spans nest under their own request."""
+        __, directory = snapshot_a
+
+        async def scenario():
+            registry = ModelRegistry()
+            registry.publish("default", directory)
+            daemon = ServeDaemon(registry, DaemonConfig())
+            for size in (1, 2, 3):
+                await daemon.submit(ScoreRequest(pairs=tuple(
+                    _pairs([f"trace row {i}" for i in range(size)],
+                           tag=str(size)))))
+            await daemon.aclose()
+
+        with TelemetrySession("daemon-trace", trace_dir=tmp_path):
+            asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+            spans = {r["id"]: r for r in TRACER.records()
+                     if r["type"] == "span"}
+
+        def named(name):
+            return [r for r in spans.values() if r["name"] == name]
+
+        requests, runs = named("serve.request"), named("serve.run")
+        assert len(requests) == len(runs) == 3
+        assert [r["parent"] for r in requests] == [None, None, None]
+        for run in runs:
+            request = spans[run["parent"]]
+            assert request["name"] == "serve.request"
+            assert request["attrs"]["num_pairs"] == run["attrs"]["num_pairs"]
+        assert {run["parent"] for run in runs} == {r["id"] for r in requests}
+        batches = named("serve.batch")
+        assert batches and all(
+            spans[b["parent"]]["name"] == "serve.run" for b in batches)
 
 
 class TestDaemonEndToEnd:
@@ -262,7 +392,7 @@ class TestDaemonEndToEnd:
         }
         registry = ModelRegistry(cache=ScoreCache(capacity=4096))
         registry.publish("default", dir_a)
-        config = DaemonConfig(flush_interval=0.02)
+        config = DaemonConfig()
         errors = []
         served = []
         barrier = threading.Barrier(num_clients)
