@@ -107,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run the online scoring daemon: admission control with "
-             "backpressure, cross-request micro-batching, multi-tenant "
-             "snapshot routing with zero-downtime hot swap")
+             "backpressure, one scoring lane that scores each request in "
+             "arrival order, multi-tenant snapshot routing with "
+             "zero-downtime hot swap")
     serve.add_argument("--snapshot", action="append", default=[],
                        metavar="[DOMAIN=]DIR",
                        help="pipeline snapshot to publish at startup; "
@@ -119,19 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7461,
                        help="TCP port; 0 picks an ephemeral port "
                             "(default 7461)")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="worker threads per published engine; 0 = "
-                            "in-process sequential scoring (default 0)")
     serve.add_argument("--max-queued-pairs", type=int, default=4096,
                        help="admission high-water mark in pairs; past it "
-                            "requests are rejected with retry-after "
-                            "(default 4096)")
-    serve.add_argument("--max-batch-pairs", type=int, default=256,
-                       help="a request is scored as soon as the scoring "
-                            "lane is idle; only requests that queue behind "
-                            "a busy lane merge, and a merge of this many "
-                            "pairs flushes without waiting for the lane "
-                            "(default 256)")
+                            "requests are rejected with retry-after, and a "
+                            "single request of more pairs than this is "
+                            "refused as a bad request (default 4096)")
     serve.add_argument("--cache-capacity", type=int, default=262144,
                        help="shared score-cache entries (default 262144)")
     serve.add_argument("--risk-band", default=None, metavar="LOW:HIGH",
@@ -383,16 +376,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for spec in args.snapshot:
         domain, __, directory = spec.rpartition("=")
         domain = domain or "default"
-        digest = registry.publish(domain, directory,
-                                  num_workers=args.workers)
+        digest = registry.publish(domain, directory)
         print(f"published domain {domain!r} from {directory} "
               f"(digest {digest[:12]}...)")
     if not args.snapshot:
         print("no --snapshot given: daemon starts empty; publish over the "
               "wire with op=publish")
     config = DaemonConfig(host=args.host, port=args.port,
-                          max_queued_pairs=args.max_queued_pairs,
-                          max_batch_pairs=args.max_batch_pairs)
+                          max_queued_pairs=args.max_queued_pairs)
 
     async def main() -> None:
         loop = asyncio.get_running_loop()

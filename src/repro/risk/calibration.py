@@ -13,9 +13,9 @@ labels, per snapshot, and persist it *inside* the snapshot's
 :class:`~repro.artifacts.ArtifactStore` as ``calibration.json``.  Because
 the store's ``MANIFEST.json`` checksums every artifact and
 ``manifest_digest()`` hashes the manifest, a recalibrated snapshot gets a
-**new digest** — so the content-addressed score cache, the registry's
-hot-swap leases, and the parallel workers' digest verification all pick up
-a calibration change with zero extra plumbing.
+**new digest** — so the content-addressed score cache and the digest
+every daemon reply carries both pick up a calibration change with zero
+extra plumbing.
 
 The fit is a deterministic Newton solve (no RNG, no wall clock) with
 Platt's target smoothing, so degenerate validation sets (all one class,

@@ -11,7 +11,7 @@ The production serving layer of the reproduction, in two tiers:
 * **Daemon** — ``python -m repro serve`` hosts a :class:`ModelRegistry`
   of domain-adapted snapshots behind an asyncio loop
   (:class:`ServeDaemon`) that admission-controls with backpressure,
-  merges concurrent requests into cross-request micro-batches, and
+  scores each admitted request as its own job on one scoring lane, and
   hot-swaps republished snapshots with zero downtime.
   :class:`DaemonClient` is the blocking TCP client.
 
@@ -30,7 +30,7 @@ from .daemon import (BackpressureError, DaemonConfig, DaemonHandle,
 from .engine import (STREAM_WINDOW, ParallelScorer, RequestScorer,
                      SequentialScorer, score_tables)
 from .metrics import ServeMetrics, ThroughputMeter
-from .registry import ModelRegistry, TenantLease, UnknownDomain
+from .registry import ModelRegistry, UnknownDomain
 from .request import (DEFAULT_DOMAIN, ScoreRequest, ScoreResponse,
                       as_request)
 from .scheduler import BatchScheduler, ScheduledBatch
@@ -41,7 +41,7 @@ __all__ = [
     "RequestScorer", "SequentialScorer", "ParallelScorer", "score_tables",
     "STREAM_WINDOW",
     "ScoreRequest", "ScoreResponse", "as_request", "DEFAULT_DOMAIN",
-    "ModelRegistry", "TenantLease", "UnknownDomain",
+    "ModelRegistry", "UnknownDomain",
     "ServeDaemon", "DaemonServer", "DaemonConfig", "DaemonHandle",
     "BackpressureError", "serve_forever", "start_daemon_thread",
     "DaemonClient", "DaemonBusy", "DaemonError", "ScoredReply",

@@ -185,12 +185,10 @@ class DaemonClient:
             raise DaemonError(reply)
         return dict(reply["stats"])
 
-    def publish(self, domain: str, directory: str,
-                num_workers: int = 0) -> str:
+    def publish(self, domain: str, directory: str) -> str:
         """Hot-swap ``domain`` to the snapshot at ``directory``."""
         reply = self.call({"op": "publish", "domain": domain,
-                           "directory": str(directory),
-                           "workers": num_workers})
+                           "directory": str(directory)})
         if not reply.get("ok"):
             raise DaemonError(reply)
         return str(reply["digest"])

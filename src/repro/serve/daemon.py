@@ -7,43 +7,36 @@ long-lived process, snapshots that republish underneath it — and this
 module is that shape:
 
 * **Admission control + backpressure.**  Every request is admitted against
-  a bounded budget of queued-plus-inflight pairs
+  a bounded budget of pending pairs, admitted but not yet answered
   (``DaemonConfig.max_queued_pairs``).  Past the high-water mark the daemon
   rejects with :class:`BackpressureError` carrying a ``retry_after``
   estimated from the recent scoring rate — clients shed load by retrying
-  later instead of piling onto an unbounded queue.
-* **Work-conserving micro-batching.**  A request goes to the scoring lane
-  the moment the lane is idle; nothing waits for company.  Only requests
-  that queue behind a busy lane merge: a collector per (domain, snapshot
-  digest) gathers them, and the flush in flight hands every pending
-  collector to the lane as it completes.  ``max_batch_pairs`` closes a
-  collector early.  A flush rides the *existing* engine stack —
-  scheduler, score cache, worker threads — in one scoring-lane round,
-  and each caller gets its own decisions back.  Within the flush each
-  request still gets its own engine run.  Scoring is batch-invariant
-  (DESIGN.md §6b), so that is a choice of shape, not a numerics need: a
-  request's decisions are bit-identical to scoring it alone, no matter
-  what else was in flight — ``tests/test_serve_daemon.py`` asserts this
-  across a mid-run hot swap.
+  later instead of piling onto an unbounded queue.  A request larger than
+  the whole budget could never be admitted, so it is refused outright
+  with a ``ValueError`` (a ``bad-request`` reply), not told to retry.
+* **One lane job per request.**  An admitted request becomes one job on
+  a single scoring lane, the lane's executor queue keeps arrival order,
+  and each job is one engine run — so a request's decisions are
+  bit-identical to a standalone :class:`~repro.serve.SequentialScorer`
+  scoring it alone, whatever else is in flight
+  (``tests/test_serve_daemon.py`` asserts this across a mid-run hot swap).
 * **Multi-tenant routing + zero-downtime hot swap.**  Requests name a
-  domain; a :class:`~repro.serve.registry.ModelRegistry` resolves it to a
-  lease-pinned engine.  Republishing a snapshot swaps atomically: in-flight
-  requests finish on the digest they resolved (collectors are keyed by
-  digest, so a merge can never mix snapshots), new requests score on the
-  new one, and the content-addressed cache invalidates by construction.
+  domain; a :class:`~repro.serve.registry.ModelRegistry` resolves it to
+  that domain's engine.  Republishing a snapshot swaps atomically: a
+  request in flight holds the engine it resolved and finishes on that
+  snapshot, new requests score on the new one, and the content-addressed
+  cache invalidates by construction.
 * **Observability.**  Every request runs under a ``serve.request`` span
-  (admission → flush → response), and its engine run's ``serve.run`` and
-  ``serve.batch`` spans nest under it; the ``serve.daemon.*`` registry
-  family counts requests, rejections, flushes, merged pairs, hot swaps,
-  and SLO misses; ``serve.daemon.request_seconds`` histograms end-to-end
-  latency.
+  (admission → lane job → response), and its engine run's ``serve.run``
+  and ``serve.batch`` spans nest under it; the ``serve.daemon.*`` registry
+  family counts requests, rejections, failures, hot swaps and SLO misses;
+  ``serve.daemon.request_seconds`` histograms end-to-end latency.
 
-Scoring runs on a single dedicated executor thread — the numerics stay on
-the deterministic single-threaded BLAS path — while the event loop keeps
-admitting, merging, and answering.  That concurrency is exactly what the
-three bugfixes riding this PR make safe: the score cache's lock, the
-tracer's contextvars span stacks, and the meters' per-run cache
-accounting.
+Scoring runs on one dedicated executor thread — the numerics stay on the
+deterministic single-threaded BLAS path — while the event loop keeps
+admitting and answering.  The score cache's lock, the tracer's contextvars
+span stacks and the meters' per-run cache accounting make that
+concurrency safe.
 
 The wire protocol is JSON lines over TCP (one object per line, ``op`` =
 ``score`` | ``publish`` | ``domains`` | ``stats`` | ``ping`` |
@@ -55,29 +48,39 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import dataclasses
+import functools
 import json
 import logging
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .. import telemetry
 from ..data import Entity, EntityPair
 from ..pipeline import MatchDecision
-from ..telemetry import REGISTRY
-from .registry import ModelRegistry, TenantLease, UnknownDomain
+from ..telemetry import REGISTRY, Span
+from .registry import ModelRegistry, UnknownDomain
 from .request import ScoreRequest, ScoreResponse, next_request_id
 
 logger = logging.getLogger("repro.serve")
+
+#: Request-latency SLO; responses slower than this bump
+#: ``serve.daemon.slo_miss``.
+SLO_SECONDS = 2.0
+#: Floor and ceiling of the backpressure retry hint (seconds).
+MIN_RETRY_AFTER = 0.01
+MAX_RETRY_AFTER = 5.0
+#: Pairs per backlog step of the cold-start retry hint.
+COLD_HINT_PAIRS = 256
 
 
 class BackpressureError(RuntimeError):
     """Admission rejected: the daemon is past its high-water mark.
 
     ``retry_after`` (seconds) estimates when capacity frees up, derived
-    from the queued depth and the recent scoring rate.
+    from the pending depth and the recent scoring rate.
     """
 
     def __init__(self, retry_after: float, queued_pairs: int, limit: int):
@@ -91,62 +94,21 @@ class BackpressureError(RuntimeError):
 
 @dataclass(frozen=True)
 class DaemonConfig:
-    """Knobs for admission, merging, and latency accounting.
-
-    No flush timer: a request is scored as soon as the lane is idle, and
-    only what queues behind a busy lane merges, up to ``max_batch_pairs``.
-    """
+    """Where the daemon listens and how many pairs it admits."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is reported at startup
-    #: Admission high-water mark: queued + inflight pairs past this reject.
+    #: Admission high-water mark: pending pairs past this reject, and a
+    #: request of more pairs than this is refused as a bad request.
     max_queued_pairs: int = 4096
-    #: Merged pairs that flush a collector without waiting for the lane.
-    max_batch_pairs: int = 256
-    #: Request-latency SLO; responses slower than this bump
-    #: ``serve.daemon.slo_miss``.
-    slo_seconds: float = 2.0
-    #: Floor/ceiling for the backpressure retry hint (seconds).
-    min_retry_after: float = 0.01
-    max_retry_after: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_queued_pairs <= 0:
             raise ValueError("max_queued_pairs must be positive")
-        if self.max_batch_pairs <= 0:
-            raise ValueError("max_batch_pairs must be positive")
-
-
-class _Pending:
-    """One admitted request waiting in a collector; its engine run executes
-    in ``context``, captured at submit with the request's span open."""
-
-    __slots__ = ("request", "lease", "future", "span", "submitted", "context")
-
-    def __init__(self, request: ScoreRequest, lease: TenantLease,
-                 future: "asyncio.Future", span, submitted: float,
-                 context: contextvars.Context):
-        self.request = request
-        self.lease = lease
-        self.future = future
-        self.span = span
-        self.submitted = submitted
-        self.context = context
-
-
-class _Collector:
-    """Pending requests for one (domain, digest), awaiting merge + flush."""
-
-    __slots__ = ("key", "entries", "pairs")
-
-    def __init__(self, key: Tuple[str, str]):
-        self.key = key
-        self.entries: List[_Pending] = []
-        self.pairs = 0
 
 
 class ServeDaemon:
-    """The asyncio request loop: admission → merge → score → scatter.
+    """The asyncio request loop: admission → lane job → answer.
 
     Construct with a :class:`~repro.serve.registry.ModelRegistry` that
     already has (or will receive) published snapshots, then either
@@ -158,217 +120,151 @@ class ServeDaemon:
                  config: Optional[DaemonConfig] = None):
         self.registry = registry
         self.config = config or DaemonConfig()
-        self._collectors: Dict[Tuple[str, str], _Collector] = {}
         # One dedicated scoring lane: numerics stay single-threaded (the
-        # determinism contract), the loop stays free to admit and merge.
+        # determinism contract), the loop stays free to admit and answer.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-score")
-        self._queued_pairs = 0     # admitted, not yet handed to the executor
-        self._inflight_pairs = 0   # handed to the executor, not yet answered
-        self._flights: Set["asyncio.Future"] = set()  # flushes on the lane
-        self._pairs_per_second = 0.0  # EMA of merged scoring throughput
+        self._pending_pairs = 0  # admitted, not yet answered
+        self._jobs: Set["asyncio.Future"] = set()  # lane jobs not yet done
+        self._pairs_per_second = 0.0  # EMA of engine-run throughput
         self._accepting = True
         self._closed = False
+        # "flushes" and "merged_requests" both count requests handed to
+        # the lane; the benchmark's serve_online workload reads both.
         self.stats = {
             "requests": 0, "rejected": 0, "failed": 0, "responses": 0,
-            "flushes": 0, "merged_requests": 0, "merged_pairs": 0,
-            "slo_misses": 0,
+            "flushes": 0, "merged_requests": 0, "slo_misses": 0,
         }
 
     # -- admission ----------------------------------------------------------- #
-    def _load(self) -> int:
-        return self._queued_pairs + self._inflight_pairs
-
     def _retry_after(self) -> float:
         rate = self._pairs_per_second
-        backlog = max(1, self._load())
+        backlog = max(1, self._pending_pairs)
         if rate > 0:
             estimate = backlog / rate
         else:
-            # Cold start: no flush has completed yet, so there is no
-            # measured rate to divide by.  A flat min_retry_after here
+            # Cold start: no job has completed yet, so there is no
+            # measured rate to divide by.  A flat MIN_RETRY_AFTER here
             # invited every rejected client back immediately no matter how
-            # deep the backlog was; scale the floor by how many
-            # max_batch_pairs flushes are already queued instead, so the
-            # hint stays monotone in backlog from the very first request.
-            # The first completed flush seeds the EMA (see _deliver) and
-            # takes over from this estimate.
-            estimate = self.config.min_retry_after * (
-                1.0 + backlog / self.config.max_batch_pairs)
-        return float(min(self.config.max_retry_after,
-                         max(self.config.min_retry_after, estimate)))
+            # deep the backlog was; scale the floor by the backlog
+            # instead, so the hint stays monotone in backlog from the very
+            # first request.  The first completed job seeds the EMA (see
+            # _settle) and takes over from this estimate.
+            estimate = MIN_RETRY_AFTER * (1.0 + backlog / COLD_HINT_PAIRS)
+        return float(min(MAX_RETRY_AFTER, max(MIN_RETRY_AFTER, estimate)))
 
     async def submit(self, request: ScoreRequest) -> ScoreResponse:
-        """Admit, merge, score, and answer one request.
+        """Admit, score, and answer one request.
 
         Raises :class:`BackpressureError` past the high-water mark,
+        ``ValueError`` for a request larger than the whole budget,
         :class:`~repro.serve.registry.UnknownDomain` for unroutable
         domains, and re-raises scoring failures.
         """
-        loop = asyncio.get_running_loop()
-        config = self.config
+        limit = self.config.max_queued_pairs
         num_pairs = request.num_pairs
         self.stats["requests"] += 1
         REGISTRY.counter("serve.daemon.requests").inc()
         if not self._accepting:
             raise RuntimeError("daemon is shutting down")
-        if self._load() + num_pairs > config.max_queued_pairs:
+        if num_pairs > limit:
+            raise ValueError(
+                f"a {num_pairs}-pair request can never be admitted: "
+                f"max_queued_pairs is {limit}")
+        if self._pending_pairs + num_pairs > limit:
             self.stats["rejected"] += 1
             REGISTRY.counter("serve.daemon.rejected").inc()
-            raise BackpressureError(self._retry_after(), self._load(),
-                                    config.max_queued_pairs)
-        lease = self.registry.resolve(request.domain)  # may raise
+            raise BackpressureError(self._retry_after(), self._pending_pairs,
+                                    limit)
+        engine = self.registry.resolve(request.domain)  # may raise
         span = telemetry.span("serve.request", domain=request.domain,
                               request_id=request.request_id,
                               num_pairs=num_pairs)
-        entry = _Pending(request, lease, loop.create_future(), span,
-                         loop.time(), contextvars.copy_context())
-        key = (request.domain, lease.digest or "")
-        collector = self._collectors.get(key)
-        if collector is None:
-            collector = self._collectors[key] = _Collector(key)
-        collector.entries.append(entry)
-        collector.pairs += num_pairs
-        self._queued_pairs += num_pairs
-        # An idle lane takes the request now; behind a busy lane it merges
-        # until that flush completes (see _deliver) or the collector fills.
-        if not self._flights or collector.pairs >= config.max_batch_pairs:
-            self._flush(key)
+        # The engine run executes in a copy of this context, taken with the
+        # request's span open, so its spans nest under the request.
+        job = asyncio.get_running_loop().run_in_executor(
+            self._executor, contextvars.copy_context().run,
+            engine.score_request, request)
+        self._pending_pairs += num_pairs
+        self.stats["flushes"] += 1
+        self.stats["merged_requests"] += 1
+        self._jobs.add(job)
+        job.add_done_callback(functools.partial(self._settle, num_pairs, span))
         try:
-            return await entry.future
+            # Shielded: a cancelled caller leaves its job on the lane, and
+            # _settle still counts it when it completes.
+            response = await asyncio.shield(job)
         finally:
             span.finish()  # in this task, so it leaves this task's span stack
+        # _settle ran before this task resumed and stamped the latency.
+        return dataclasses.replace(
+            response, latency_seconds=span.attributes["latency_seconds"])
 
-    # -- merge + flush ------------------------------------------------------- #
-    def _flush(self, key: Tuple[str, str]) -> None:
-        collector = self._collectors.pop(key)
-        loop = asyncio.get_running_loop()
-        self._queued_pairs -= collector.pairs
-        self._inflight_pairs += collector.pairs
-        self.stats["flushes"] += 1
-        self.stats["merged_requests"] += len(collector.entries)
-        self.stats["merged_pairs"] += collector.pairs
-        REGISTRY.counter("serve.daemon.flushes").inc()
-        REGISTRY.counter("serve.daemon.merged_pairs").inc(collector.pairs)
-        flight = loop.run_in_executor(self._executor, self._score_merged,
-                                      collector)
-        self._flights.add(flight)
-        flight.add_done_callback(
-            lambda f, c=collector: self._deliver(c, f))
-
-    def _score_merged(self, collector: _Collector):
-        """Executor-side: score every request of one flush back to back.
-
-        One engine run per request, not one run over the concatenated
-        pairs.  Either gives the same bits, because scoring is
-        batch-invariant; per-request runs keep each response's metrics
-        and routing its own.  The merge win is everything around the
-        matmul: one executor round-trip, one warm cache pass, and shared
-        admission / telemetry overhead across all requests in the flush.
-        """
-        entries = collector.entries
-        engine = entries[0].lease.engine
-        started = time.perf_counter()
-        responses = [entry.context.run(engine.score_request, entry.request)
-                     for entry in entries]
-        return responses, time.perf_counter() - started
-
-    def _deliver(self, collector: _Collector, future) -> None:
-        """Loop-side: hand each caller its response from the shared flush."""
-        loop = asyncio.get_running_loop()
-        self._flights.discard(future)
-        self._inflight_pairs -= collector.pairs
-        if not self._flights:  # idle lane: nothing else would flush these
-            for key in list(self._collectors):
-                self._flush(key)
-        error = future.exception()
-        responses, wall = ((None, 0.0) if error is not None
-                           else future.result())
+    def _settle(self, num_pairs: int, span: Span,
+                job: "asyncio.Future") -> None:
+        """Loop-side bookkeeping for one completed lane job, whether or not
+        its caller is still waiting."""
+        self._jobs.discard(job)
+        self._pending_pairs -= num_pairs
+        latency = span.duration
+        span.set(latency_seconds=latency)
+        error = job.exception()
+        if error is not None:
+            span.set(error=str(error))
+            self.stats["failed"] += 1
+            REGISTRY.counter("serve.daemon.failed").inc()
+            return
+        self.stats["responses"] += 1
+        REGISTRY.histogram("serve.daemon.request_seconds").observe(latency)
+        if latency > SLO_SECONDS:
+            self.stats["slo_misses"] += 1
+            REGISTRY.counter("serve.daemon.slo_miss").inc()
+        wall = job.result().metrics.wall_seconds
         if wall > 0:
-            rate = collector.pairs / wall
+            rate = num_pairs / wall
             self._pairs_per_second = (
                 rate if self._pairs_per_second == 0.0
                 else 0.8 * self._pairs_per_second + 0.2 * rate)
-        for index, entry in enumerate(collector.entries):
-            latency = loop.time() - entry.submitted
-            entry.span.set(latency_seconds=latency)
-            if error is not None:
-                entry.span.set(error=str(error))
-                self.stats["failed"] += 1
-                REGISTRY.counter("serve.daemon.failed").inc()
-                if not entry.future.cancelled():
-                    entry.future.set_exception(error)
-            else:
-                response = responses[index]
-                self.stats["responses"] += 1
-                REGISTRY.histogram("serve.daemon.request_seconds").observe(
-                    latency)
-                if latency > self.config.slo_seconds:
-                    self.stats["slo_misses"] += 1
-                    REGISTRY.counter("serve.daemon.slo_miss").inc()
-                if not entry.future.cancelled():
-                    entry.future.set_result(ScoreResponse(
-                        request_id=entry.request.request_id,
-                        domain=entry.request.domain,
-                        decisions=response.decisions,
-                        snapshot_digest=response.snapshot_digest,
-                        metrics=response.metrics,
-                        latency_seconds=latency,
-                        routing=response.routing))
-            entry.lease.release()
 
     # -- hot swap ------------------------------------------------------------ #
-    async def publish(self, domain: str, directory: str,
-                      num_workers: int = 0) -> str:
+    async def publish(self, domain: str, directory: str) -> str:
         """Load and hot-swap a snapshot without blocking the request loop.
 
         Loading happens on the default executor (not the scoring lane, which
-        may be busy); the registry swap itself is atomic.  Requests already
-        collected against the old digest flush on the old engine — the
-        collector key includes the digest, so a merge can never mix
-        snapshots.
+        may be busy); the registry swap itself is atomic.  Requests that
+        already resolved the old engine finish on it.
         """
         loop = asyncio.get_running_loop()
         digest = await loop.run_in_executor(
-            None, self.registry.publish, domain, directory, num_workers)
+            None, self.registry.publish, domain, directory)
         REGISTRY.counter("serve.daemon.hot_swap").inc()
         return digest
 
     # -- introspection ------------------------------------------------------- #
     def snapshot_stats(self) -> Dict[str, Any]:
-        flushes = self.stats["flushes"]
-        merged = self.stats["merged_requests"]
         router = getattr(self.registry, "router", None)
         return {
             "risk": router.stats() if router is not None else None,
             **self.stats,
-            "queued_pairs": self._queued_pairs,
-            "inflight_pairs": self._inflight_pairs,
+            "pending_pairs": self._pending_pairs,
             "pairs_per_second_ema": self._pairs_per_second,
             "domains": self.registry.domains(),
-            "requests_per_flush": merged / flushes if flushes else 0.0,
-            # Fraction of merged requests that shared their flush with at
-            # least one other request — the daemon's merge win over
-            # one-request-one-batch serving.
-            "merge_efficiency": (merged - flushes) / merged if merged else 0.0,
         }
 
     # -- lifecycle ----------------------------------------------------------- #
     async def drain(self, timeout: float = 30.0) -> None:
-        """Flush every collector and wait for in-flight scoring to finish."""
+        """Stop admitting and wait for every lane job to finish."""
         self._accepting = False
-        for key in list(self._collectors):
-            self._flush(key)
-        if self._flights:
-            __, pending = await asyncio.wait(set(self._flights),
+        if self._jobs:
+            __, pending = await asyncio.wait(set(self._jobs),
                                              timeout=timeout)
             if pending:
                 raise TimeoutError(
                     f"daemon drain timed out with {len(pending)} "
-                    f"flush(es) in flight")
+                    f"request(s) on the lane")
 
     async def aclose(self) -> None:
-        """Drain, then tear down the executor and every tenant engine."""
+        """Drain, then tear down the executor and the registry."""
         if self._closed:
             return
         self._closed = True
@@ -483,8 +379,7 @@ class DaemonServer:
                         "domains": self.daemon.registry.domains()}
             if op == "publish":
                 digest = await self.daemon.publish(
-                    str(message["domain"]), str(message["directory"]),
-                    int(message.get("workers", 0)))
+                    str(message["domain"]), str(message["directory"]))
                 return {"ok": True, "domain": message["domain"],
                         "digest": digest}
             if op == "shutdown":

@@ -290,7 +290,8 @@ class SequentialScorer(RequestScorer):
         return self.pipeline.threshold
 
     def close(self) -> None:
-        """Nothing to tear down; present so registries can close any engine."""
+        """Nothing to tear down; present so ``score_tables`` can close
+        either engine."""
 
     def __enter__(self) -> "SequentialScorer":
         return self

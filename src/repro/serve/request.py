@@ -15,10 +15,10 @@ the request-stream contract both engines now implement:
   *which* model answered).
 
 Engines expose ``score_request`` / ``score_stream`` built on these;
-``score_pairs`` survives as a thin compatibility wrapper.  The daemon's
-micro-batcher merges many concurrent :class:`ScoreRequest` objects into
-one before it ever reaches an engine, which is why the request — not the
-pairs list — is the unit the serving stack passes around.
+``score_pairs`` survives as a thin compatibility wrapper.  The daemon
+hands each admitted :class:`ScoreRequest` to its scoring lane as one
+job, which is why the request — not the pairs list — is the unit the
+serving stack passes around.
 """
 
 from __future__ import annotations

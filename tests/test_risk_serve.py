@@ -141,19 +141,16 @@ class TestDaemonRouting:
 
 class TestRetryAfterColdStart:
     def _daemon(self):
-        return ServeDaemon(ModelRegistry(),
-                           DaemonConfig(min_retry_after=0.01,
-                                        max_retry_after=5.0,
-                                        max_batch_pairs=100))
+        return ServeDaemon(ModelRegistry())
 
     def test_cold_hint_is_monotone_in_backlog(self):
-        # Regression: before the fix, a daemon with no completed flush
+        # Regression: before the fix, a daemon with no completed job
         # handed every rejected client the flat floor, inviting them all
         # back at once regardless of backlog depth.
         daemon = self._daemon()
         hints = []
         for backlog in (0, 100, 1000, 4000):
-            daemon._queued_pairs = backlog
+            daemon._pending_pairs = backlog
             hints.append(daemon._retry_after())
         assert hints == sorted(hints)
         assert hints[-1] > hints[0]  # deep backlog waits strictly longer
@@ -161,13 +158,13 @@ class TestRetryAfterColdStart:
 
     def test_warm_hint_uses_measured_rate(self):
         daemon = self._daemon()
-        daemon._queued_pairs = 500
+        daemon._pending_pairs = 500
         daemon._pairs_per_second = 1000.0
         assert daemon._retry_after() == pytest.approx(0.5)
 
     def test_hint_respects_ceiling(self):
         daemon = self._daemon()
-        daemon._queued_pairs = 10_000
+        daemon._pending_pairs = 10_000
         daemon._pairs_per_second = 0.5
         assert daemon._retry_after() == 5.0
 

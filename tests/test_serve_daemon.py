@@ -2,14 +2,15 @@
 
 The invariants under test are the serving layer's contract:
 
-* hot swap is zero-downtime — leases pin the old generation, new requests
-  route to the new one, and decisions stay bit-identical to a sequential
-  engine on *whichever* snapshot answered;
+* hot swap is zero-downtime — a request in flight keeps the engine it
+  resolved, new requests route to the new one, and decisions stay
+  bit-identical to a sequential engine on *whichever* snapshot answered;
 * admission control rejects with an actionable retry hint instead of
-  queueing unboundedly;
-* dispatch is work-conserving: a request reaches an idle scoring lane
-  at once, only requests queued behind a busy lane merge, and merging
-  never changes a single decision bit;
+  queueing unboundedly, and refuses outright a request that could never
+  be admitted;
+* each admitted request is one job on the daemon's single scoring lane,
+  run in arrival order, and its decisions equal a standalone engine
+  scoring it alone;
 * each request is its own trace: its engine run's spans nest under its
   ``serve.request`` span.
 """
@@ -23,10 +24,11 @@ import pytest
 
 from repro.data import Entity, EntityPair
 from repro.pipeline import ERPipeline
-from repro.serve import (BackpressureError, DaemonClient, DaemonConfig,
-                         DaemonError, ModelRegistry, ScoreCache,
+from repro.serve import (BackpressureError, DaemonBusy, DaemonClient,
+                         DaemonConfig, DaemonError, ModelRegistry, ScoreCache,
                          ScoreRequest, SequentialScorer, ServeDaemon,
                          UnknownDomain, as_request, start_daemon_thread)
+from repro.serve.daemon import MAX_RETRY_AFTER, MIN_RETRY_AFTER
 from repro.telemetry import TRACER, TelemetrySession
 
 
@@ -68,12 +70,17 @@ class TestModelRegistry:
             assert digest == pipeline.manifest_digest
             assert "prod" in registry and len(registry) == 1
             assert registry.domains() == {"prod": digest}
-            with registry.resolve("prod") as lease:
-                assert lease.digest == digest
-                pairs = _pairs(["registry row %d" % i for i in range(6)])
-                got = lease.engine.score_request(as_request(pairs))
-                assert got.snapshot_digest == digest
-                assert len(got.decisions) == 6
+            engine = registry.resolve("prod")
+            assert isinstance(engine, SequentialScorer)
+            assert engine.snapshot_digest == digest
+            pairs = _pairs(["registry row %d" % i for i in range(6)])
+            got = engine.score_request(as_request(pairs))
+            assert got.snapshot_digest == digest
+            assert len(got.decisions) == 6
+        # Closing unpublishes every tenant and refuses further publishes.
+        assert len(registry) == 0
+        with pytest.raises(RuntimeError, match="closed"):
+            registry.publish("prod", directory)
 
     def test_unknown_domain_is_actionable(self, snapshot_a):
         __, directory = snapshot_a
@@ -97,53 +104,24 @@ class TestModelRegistry:
         }
         with ModelRegistry() as registry:
             registry.publish("prod", dir_a)
-            lease = registry.resolve("prod")  # request "in flight" ...
-            registry.publish("prod", dir_b)   # ... while the swap lands
-            # The lease still answers on the old snapshot, bit-identically.
-            assert lease.digest == pipeline_a.manifest_digest
-            old = lease.engine.score_request(as_request(pairs))
+            engine = registry.resolve("prod")  # request "in flight" ...
+            registry.publish("prod", dir_b)    # ... while the swap lands
+            # The engine it resolved still answers on the old snapshot,
+            # bit-identically.
+            assert engine.snapshot_digest == pipeline_a.manifest_digest
+            old = engine.score_request(as_request(pairs))
             assert old.decisions == expected[pipeline_a.manifest_digest]
-            lease.release()
-            # New resolutions land on the new generation.
-            with registry.resolve("prod") as fresh:
-                assert fresh.digest == pipeline_b.manifest_digest
-                new = fresh.engine.score_request(as_request(pairs))
-                assert new.decisions == expected[pipeline_b.manifest_digest]
-
-    def test_retired_threaded_tenant_joins_its_threads(
-            self, snapshot_a, snapshot_b):
-        __, dir_a = snapshot_a
-        pipeline_b, dir_b = snapshot_b
-        pairs = _pairs(["thread row %d" % i for i in range(40)])
-        before = set(threading.enumerate())
-
-        def score_threads():
-            return [t for t in set(threading.enumerate()) - before
-                    if t.name.startswith("repro-score")]
-
-        with ModelRegistry(max_batch_pairs=4) as registry:
-            registry.publish("prod", dir_a, num_workers=2)
-            with registry.resolve("prod") as lease:
-                lease.engine.score_request(as_request(pairs))
-                old_threads = score_threads()
-                assert old_threads
-                registry.publish("prod", dir_b, num_workers=2)
-                # The lease pins the retired engine and its threads.
-                assert all(t.is_alive() for t in old_threads)
-            # Last lease released: the retired engine joined its threads.
-            assert not any(t.is_alive() for t in old_threads)
-            with registry.resolve("prod") as fresh:
-                expected = SequentialScorer(
-                    pipeline_b, fresh.engine.scheduler).score_pairs(pairs)
-                got = fresh.engine.score_request(as_request(pairs))
-                assert got.decisions == expected
-        assert score_threads() == []
+            # New resolutions land on the new snapshot.
+            fresh = registry.resolve("prod")
+            assert fresh.snapshot_digest == pipeline_b.manifest_digest
+            new = fresh.score_request(as_request(pairs))
+            assert new.decisions == expected[pipeline_b.manifest_digest]
 
     def test_hot_swap_under_load_is_bit_identical(
             self, snapshot_a, snapshot_b):
         """Worker threads score nonstop while the snapshot republishes:
         every single response must match the sequential reference for the
-        digest its lease pinned — no torn generation, ever."""
+        snapshot it names — no torn generation, ever."""
         pipeline_a, dir_a = snapshot_a
         pipeline_b, dir_b = snapshot_b
         pairs = _pairs(["load row %d" % i for i in range(10)])
@@ -163,14 +141,14 @@ class TestModelRegistry:
             try:
                 deadline = time.monotonic() + 60
                 while time.monotonic() < deadline:
-                    with registry.resolve("prod") as lease:
-                        response = lease.engine.score_request(
-                            as_request(pairs))
-                        assert response.decisions == expected[lease.digest]
+                    response = registry.resolve("prod").score_request(
+                        as_request(pairs))
+                    digest = response.snapshot_digest
+                    assert response.decisions == expected[digest]
                     started.set()
                     with seen_lock:
-                        seen.add(lease.digest)
-                    if lease.digest == pipeline_b.manifest_digest:
+                        seen.add(digest)
+                    if digest == pipeline_b.manifest_digest:
                         return  # observed the swap; done
                 errors.append(AssertionError("never observed the swap"))
             except Exception as error:  # pragma: no cover - failure path
@@ -193,7 +171,7 @@ class TestDaemonAdmission:
     def test_backpressure_rejects_past_high_water(self, snapshot_a):
         __, directory = snapshot_a
         pairs = _pairs(["admission row %d" % i for i in range(8)], tag="q")
-        config = DaemonConfig(max_queued_pairs=10, max_batch_pairs=100)
+        config = DaemonConfig(max_queued_pairs=10)
 
         async def scenario():
             from repro.serve import ServeDaemon
@@ -205,64 +183,103 @@ class TestDaemonAdmission:
             await asyncio.sleep(0)  # first request is now queued (8/10)
             with pytest.raises(BackpressureError) as err:
                 await daemon.submit(ScoreRequest(pairs=tuple(pairs)))
-            assert config.min_retry_after <= err.value.retry_after \
-                <= config.max_retry_after
+            assert MIN_RETRY_AFTER <= err.value.retry_after \
+                <= MAX_RETRY_AFTER
             response = await first  # the admitted request still completes
             assert len(response.decisions) == len(pairs)
             stats = daemon.snapshot_stats()
             assert stats["rejected"] == 1 and stats["responses"] == 1
-            assert stats["queued_pairs"] == 0
+            assert stats["pending_pairs"] == 0
             await daemon.aclose()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=120))
 
+    def test_request_larger_than_the_budget_is_refused_not_retried(
+            self, snapshot_a):
+        """A request that can never fit is a bad request, not backpressure:
+        telling its client to retry would only repeat the rejection."""
+        __, directory = snapshot_a
+        pairs = _pairs(["oversize row %d" % i for i in range(40)], tag="o")
+        config = DaemonConfig(max_queued_pairs=32)
 
-def _submit_behind_held_lane(monkeypatch, directory, chunks, config,
-                             fail=False):
-    """Hold the first engine run on the scoring lane (and make it raise if
-    ``fail``), submit one request per chunk a loop step apart, then release
-    the lane.  Returns every request's result, the daemon's stats while the
-    lane was held, and its stats once every request was answered."""
+        async def scenario():
+            registry = ModelRegistry()
+            registry.publish("default", directory)
+            daemon = ServeDaemon(registry, config)
+            with pytest.raises(ValueError, match="40.*32"):
+                await daemon.submit(ScoreRequest(pairs=tuple(pairs)))
+            stats = daemon.snapshot_stats()
+            await daemon.aclose()
+            return stats
 
-    async def scenario():
+        stats = asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+        assert stats["rejected"] == 0 and stats["pending_pairs"] == 0
+
         registry = ModelRegistry()
         registry.publish("default", directory)
-        with registry.resolve("default") as lease:
-            engine = lease.engine
+        with start_daemon_thread(registry, config) as handle:
+            with DaemonClient(*handle.address, max_retries=5) as client:
+                with pytest.raises(DaemonError) as err:
+                    client.score(pairs)
+                assert not isinstance(err.value, DaemonBusy)
+                assert err.value.code == "bad-request"
+                stats = client.stats()
+        # One exchange: the client did not retry a request that never fits.
+        assert stats["requests"] == 1 and stats["rejected"] == 0
+
+
+def _submit_behind_held_lane(monkeypatch, registry, requests, fail=False,
+                             cancel=None):
+    """Hold the first engine run on the scoring lane (and make it raise if
+    ``fail``), submit each ``(domain, pairs)`` request a loop step apart,
+    cancel the caller of request ``cancel`` if given, then release the
+    lane.  Returns every request's result, the submission indices in the
+    order the lane ran them, the daemon's stats while the lane was held,
+    and its stats once every caller returned."""
+    release = threading.Event()
+    ran = []
+
+    def hold_first_run(engine):
         score_request = engine.score_request
-        release = threading.Event()
-        calls = []
 
         def gated(request):
-            calls.append(request.request_id)
-            if len(calls) == 1:
+            ran.append(request.request_id)
+            if len(ran) == 1:
                 assert release.wait(60), "the lane was never released"
                 if fail:
                     raise RuntimeError("engine failed")
             return score_request(request)
 
         monkeypatch.setattr(engine, "score_request", gated)
-        daemon = ServeDaemon(registry, config)
+
+    for domain in registry.domains():
+        hold_first_run(registry.resolve(domain))
+
+    async def scenario():
+        daemon = ServeDaemon(registry, DaemonConfig())
+        ids, tasks = [], []
         try:
-            tasks = []
-            for chunk in chunks:
-                tasks.append(asyncio.ensure_future(
-                    daemon.submit(ScoreRequest(pairs=tuple(chunk)))))
+            for domain, pairs in requests:
+                request = ScoreRequest(pairs=tuple(pairs), domain=domain)
+                ids.append(request.request_id)
+                tasks.append(asyncio.ensure_future(daemon.submit(request)))
                 await asyncio.sleep(0)  # submit ran up to its await
+            if cancel is not None:
+                tasks[cancel].cancel()
+                await asyncio.sleep(0)
             held = daemon.snapshot_stats()
         finally:
             release.set()
         results = await asyncio.gather(*tasks, return_exceptions=True)
         stats = daemon.snapshot_stats()
         await daemon.aclose()
-        return results, held, stats
+        return results, [ids.index(i) for i in ran], held, stats
 
     return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
 
 
 class TestDaemonDispatch:
-    """Work-conserving dispatch: an idle lane takes a request at once, and
-    only what queues behind a busy lane merges."""
+    """One lane job per admitted request, run in arrival order."""
 
     @staticmethod
     def _chunks(tag, count, size=4):
@@ -290,38 +307,34 @@ class TestDaemonDispatch:
         stats, answered = asyncio.run(
             asyncio.wait_for(scenario(), timeout=120))
         assert not answered
-        assert stats["flushes"] == 1 and stats["queued_pairs"] == 0
-        assert stats["inflight_pairs"] == len(chunk)
+        assert stats["flushes"] == 1
+        assert stats["pending_pairs"] == len(chunk)
 
-    def test_requests_behind_a_busy_lane_share_the_next_flush(
-            self, snapshot_a, monkeypatch):
-        pipeline, directory = snapshot_a
-        chunks = self._chunks("merge", 4)
-        # The contract: a merged request's decisions are bit-identical to a
-        # standalone sequential engine scoring that request ALONE.
-        expected = [SequentialScorer(pipeline).score_pairs(chunk)
-                    for chunk in chunks]
-        results, held, stats = _submit_behind_held_lane(
-            monkeypatch, directory, chunks, DaemonConfig(max_batch_pairs=256))
-        assert held["flushes"] == 1 and held["queued_pairs"] == 12
+    def test_lane_runs_requests_in_arrival_order_across_tenants(
+            self, snapshot_a, snapshot_b, monkeypatch):
+        pipeline_a, dir_a = snapshot_a
+        pipeline_b, dir_b = snapshot_b
+        a1, a2, a3 = self._chunks("tenant a", 3)
+        (b1,) = self._chunks("tenant b", 1)
+        requests = [("a", a1), ("a", a2), ("b", b1), ("a", a3)]
+        pipelines = {"a": pipeline_a, "b": pipeline_b}
+        # The contract: each reply is bit-identical to a standalone
+        # sequential engine scoring that request ALONE on its snapshot.
+        expected = [SequentialScorer(pipelines[domain]).score_pairs(pairs)
+                    for domain, pairs in requests]
+        registry = ModelRegistry()
+        registry.publish("a", dir_a)
+        registry.publish("b", dir_b)
+        results, order, held, stats = _submit_behind_held_lane(
+            monkeypatch, registry, requests)
+        # A1 holds the lane; A2, B1 and A3 wait in the order they came.
+        assert held["pending_pairs"] == 16
+        assert order == [0, 1, 2, 3]
         assert [r.decisions for r in results] == expected
-        # The three queued requests shared the second flush.
-        assert stats["flushes"] == 2 and stats["merged_requests"] == 4
-        assert stats["merge_efficiency"] == pytest.approx(2 / 4)
-
-    def test_full_collector_flushes_without_waiting_for_the_lane(
-            self, snapshot_a, monkeypatch):
-        pipeline, directory = snapshot_a
-        chunks = self._chunks("cap", 4)
-        expected = [SequentialScorer(pipeline).score_pairs(chunk)
-                    for chunk in chunks]
-        results, held, stats = _submit_behind_held_lane(
-            monkeypatch, directory, chunks, DaemonConfig(max_batch_pairs=8))
-        # Requests 2 and 3 reached the 8-pair cap and flushed behind the
-        # held lane; request 4 waited for the lane to go idle.
-        assert held["flushes"] == 2 and held["queued_pairs"] == 4
-        assert [r.decisions for r in results] == expected
-        assert stats["flushes"] == 3 and stats["merged_requests"] == 4
+        assert [r.snapshot_digest for r in results] == [
+            pipelines[domain].manifest_digest for domain, __ in requests]
+        assert stats["flushes"] == stats["merged_requests"] == 4
+        assert stats["responses"] == 4 and stats["pending_pairs"] == 0
 
     def test_failed_flush_still_dispatches_what_queued_behind_it(
             self, snapshot_a, monkeypatch):
@@ -329,13 +342,37 @@ class TestDaemonDispatch:
         chunks = self._chunks("fail", 3)
         expected = [SequentialScorer(pipeline).score_pairs(chunk)
                     for chunk in chunks[1:]]
-        results, held, stats = _submit_behind_held_lane(
-            monkeypatch, directory, chunks, DaemonConfig(), fail=True)
-        assert held["queued_pairs"] == 8
+        registry = ModelRegistry()
+        registry.publish("default", directory)
+        results, order, held, stats = _submit_behind_held_lane(
+            monkeypatch, registry, [("default", c) for c in chunks],
+            fail=True)
+        assert held["pending_pairs"] == 12
         assert isinstance(results[0], RuntimeError)
         assert [r.decisions for r in results[1:]] == expected
         assert stats["failed"] == 1 and stats["responses"] == 2
-        assert stats["queued_pairs"] == 0 and stats["inflight_pairs"] == 0
+        assert stats["pending_pairs"] == 0
+
+    def test_cancelled_caller_leaves_its_job_on_the_lane(
+            self, snapshot_a, monkeypatch):
+        """Cancelling a caller neither cancels its queued job nor drops it
+        from the counts, and the requests around it are answered."""
+        pipeline, directory = snapshot_a
+        chunks = self._chunks("cancel", 3)
+        expected = [SequentialScorer(pipeline).score_pairs(chunk)
+                    for chunk in chunks]
+        registry = ModelRegistry()
+        registry.publish("default", directory)
+        results, order, held, stats = _submit_behind_held_lane(
+            monkeypatch, registry, [("default", c) for c in chunks],
+            cancel=1)
+        assert held["pending_pairs"] == 12
+        assert isinstance(results[1], asyncio.CancelledError)
+        assert [results[0].decisions, results[2].decisions] == [
+            expected[0], expected[2]]
+        assert order == [0, 1, 2]  # the cancelled request still ran
+        assert stats["pending_pairs"] == 0
+        assert stats["responses"] == 3 and stats["failed"] == 0
 
 
 class TestDaemonTracing:
@@ -432,9 +469,8 @@ class TestDaemonEndToEnd:
         assert stats["responses"] == 2 * num_clients
         # both snapshot generations actually served traffic
         assert len(expected) == 2 and set(served) == set(expected)
-        # Concurrent same-digest requests shared flushes.
-        assert stats["flushes"] < stats["responses"]
-        assert stats["merge_efficiency"] > 0.0
+        # Every request was its own lane job.
+        assert stats["flushes"] == stats["merged_requests"] == 16
 
     def test_wire_errors_and_introspection_ops(self, snapshot_a):
         __, directory = snapshot_a
