@@ -20,12 +20,12 @@ Quickstart::
 __version__ = "1.0.0"
 
 from .api import (AdaptationResult, ChaosConfig, Events, GuardRail,
-                  TrainingDiverged, adapt, load_dataset, no_da, score_tables)
+                  TrainingDiverged, adapt, load_dataset, no_da)
 from .risk import (ReviewQueue, RiskBand, RiskRouter, calibrate_snapshot)
 from .scale import (ShardedBlocker, TransitiveClusterer, cluster_quality,
-                    generate_scale_corpus, run_e2e_bench)
+                    generate_scale_corpus, resolve)
 from .serve import (DaemonClient, ModelRegistry, ScoreCache, ScoreRequest,
-                    ScoreResponse)
+                    ScoreResponse, score_tables)
 from .telemetry import (PROFILER, REGISTRY, TRACER, TelemetrySession, event,
                         span)
 
@@ -36,5 +36,5 @@ __all__ = ["adapt", "no_da", "load_dataset", "score_tables", "ScoreCache",
            "PROFILER", "span", "event",
            "ReviewQueue", "RiskBand", "RiskRouter", "calibrate_snapshot",
            "ShardedBlocker", "TransitiveClusterer", "cluster_quality",
-           "generate_scale_corpus", "run_e2e_bench",
+           "generate_scale_corpus", "resolve",
            "__version__"]

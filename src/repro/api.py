@@ -74,16 +74,3 @@ def no_da(source: ERDataset, target: ERDataset,
     config = config or TrainConfig(seed=seed)
     return train_source_only(extractor, matcher, source, valid, test, config)
 
-
-def score_tables(pipeline, left_table, right_table, num_workers: int = 0,
-                 **kwargs):
-    """Stream scored decisions for two raw tables — see :mod:`repro.serve`.
-
-    ``pipeline`` is a live :class:`~repro.pipeline.ERPipeline` or a snapshot
-    directory; ``num_workers >= 1`` fans each window's batches out over
-    that many worker threads.  Yields one
-    :class:`~repro.pipeline.MatchDecision` per blocked candidate pair.
-    """
-    from .serve import score_tables as _score_tables
-    yield from _score_tables(pipeline, left_table, right_table,
-                             num_workers=num_workers, **kwargs)

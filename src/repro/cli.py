@@ -14,7 +14,6 @@ Subcommands::
         --valid-csv valid.csv --publish 127.0.0.1:7461
     python -m repro risk-report --queue review-queue --snapshot snapshots/prod
     python -m repro scenarios --aligners mmd,grl
-    python -m repro e2e-bench --records 1000000 --workers 4
     python -m repro trace-summary adapt_fz_am_mmd
 
 Installed as the ``repro`` console script (``[project.scripts]``), which
@@ -226,39 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="report path (default BENCH_scenarios.json)")
     _add_lm_arguments(scenarios)
 
-    e2e_bench = commands.add_parser(
-        "e2e-bench",
-        help="resolve a synthetic corpus end to end (sharded block -> "
-             "streamed score -> transitive cluster) and write BENCH_e2e.json")
-    e2e_bench.add_argument("--records", type=int, default=1_000_000,
-                           help="corpus rows to resolve (default 1000000)")
-    e2e_bench.add_argument("--workers", type=int, default=4,
-                           help="scoring worker threads; 0 = in-process "
-                                "sequential (default 4)")
-    e2e_bench.add_argument("--shard-size", type=int, default=65536,
-                           help="left rows per blocker shard (default 65536)")
-    e2e_bench.add_argument("--chunk-size", type=int, default=4096,
-                           help="entity rows per streamed chunk "
-                                "(default 4096)")
-    e2e_bench.add_argument("--window", type=int, default=2048,
-                           help="candidate pairs per scoring window "
-                                "(default 2048)")
-    e2e_bench.add_argument("--spec", default="fodors_zagats",
-                           help="benchmark spec the corpus renders "
-                                "(default fodors_zagats)")
-    e2e_bench.add_argument("--seed", type=int, default=0)
-    e2e_bench.add_argument("--epochs", type=int, default=8,
-                           help="matcher training epochs (default 8)")
-    e2e_bench.add_argument("--output", default="BENCH_e2e.json",
-                           help="report path (default BENCH_e2e.json)")
-    e2e_bench.add_argument("--work-dir", default=".cache/e2e_bench",
-                           help="corpus/shard/pipeline scratch directory "
-                                "(default .cache/e2e_bench)")
-    e2e_bench.add_argument("--pipeline-dir", default=None,
-                           help="where to persist the trained snapshot "
-                                "(default <work-dir>/pipeline)")
-    _add_lm_arguments(e2e_bench)
-
     trace_summary = commands.add_parser(
         "trace-summary",
         help="render an exported trace: span tree, op table, metrics")
@@ -342,20 +308,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
     extractor, __ = pretrained_lm(**_lm_kwargs(args))
     value = dataset_mmd(extractor, source, target)
     print(f"MMD({args.source}, {args.target}) = {value:.4f}")
-    return 0
-
-
-def cmd_e2e_bench(args: argparse.Namespace) -> int:
-    from .scale import format_e2e_report, run_e2e_bench
-    report = run_e2e_bench(records=args.records, num_workers=args.workers,
-                           shard_size=args.shard_size,
-                           chunk_size=args.chunk_size, window=args.window,
-                           output=args.output, work_dir=args.work_dir,
-                           pipeline_dir=args.pipeline_dir, spec=args.spec,
-                           seed=args.seed, train_epochs=args.epochs,
-                           lm_kwargs=_lm_kwargs(args))
-    print(format_e2e_report(report))
-    print(f"report written to {args.output}")
     return 0
 
 
@@ -509,8 +461,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_serve(args)
     if args.command == "scenarios":
         return cmd_scenarios(args)
-    if args.command == "e2e-bench":
-        return cmd_e2e_bench(args)
     if args.command == "risk-calibrate":
         return cmd_risk_calibrate(args)
     if args.command == "risk-adapt":

@@ -4,7 +4,8 @@ The training stack resolves *datasets*; this package resolves *tables*:
 a constant-memory pipeline that streams two entity tables through sharded
 blocking, windowed matcher scoring, and transitive clustering, with every
 intermediate spilled through :mod:`repro.artifacts` and every stage timed
-through :mod:`repro.telemetry` (``scale.block.*`` / ``scale.cluster.*``).
+through :mod:`repro.telemetry` (``scale.resolve.*``, ``scale.block.*``,
+``scale.cluster.*``).
 
 * :mod:`~repro.scale.minhash` — vectorized MinHash signatures + LSH band
   keys, deterministic across processes and shard layouts.
@@ -15,9 +16,13 @@ through :mod:`repro.telemetry` (``scale.block.*`` / ``scale.cluster.*``).
   rank) folding pairwise decisions — review abstentions excluded — into
   entity clusters with order-invariant canonical ids, plus pairwise
   cluster-quality metrics.
-* :mod:`~repro.scale.bench` — the ``repro e2e-bench`` harness: synthesize
-  a cluster corpus, block, score (sequential or parallel), cluster, and
-  write per-stage throughput + quality to ``BENCH_e2e.json``.
+* :mod:`~repro.scale.resolve` — :func:`resolve`, the one table-in,
+  clusters-out loop: block, score in windows, cluster, under one
+  ``scale.resolve`` span with per-window block/score/cluster children.
+* :mod:`~repro.scale.bench` — the matcher snapshot
+  (:func:`~repro.scale.bench.build_e2e_pipeline`), blocker operating point
+  and corpus dirt that the e2e tier, CI and ``python -m perf run`` resolve
+  synthetic corpora with.
 
 See DESIGN.md §14 for the shard layout, spill format, and the
 determinism contract (cluster assignments bit-identical across engines and
@@ -30,7 +35,7 @@ from .cluster import (ClusterQuality, Clusters, TransitiveClusterer,
                       UnionFind, cluster_quality)
 from .synth import (ScaleCorpus, generate_scale_corpus, true_assignments,
                     true_cluster_of)
-from .bench import format_e2e_report, run_e2e_bench
+from .resolve import resolve
 
 __all__ = [
     "DEFAULT_BANDS", "DEFAULT_ROWS", "DEFAULT_SHARD_SIZE",
@@ -39,5 +44,5 @@ __all__ = [
     "cluster_quality",
     "ScaleCorpus", "generate_scale_corpus", "true_assignments",
     "true_cluster_of",
-    "run_e2e_bench", "format_e2e_report",
+    "resolve",
 ]

@@ -27,8 +27,8 @@ from .client import DaemonBusy, DaemonClient, DaemonError, ScoredReply
 from .daemon import (BackpressureError, DaemonConfig, DaemonHandle,
                      DaemonServer, ServeDaemon, serve_forever,
                      start_daemon_thread)
-from .engine import (STREAM_WINDOW, ParallelScorer, RequestScorer,
-                     SequentialScorer, score_tables)
+from .engine import (STREAM_WINDOW, ParallelScorer, SequentialScorer,
+                     score_tables)
 from .metrics import ServeMetrics, ThroughputMeter
 from .registry import ModelRegistry, UnknownDomain
 from .request import (DEFAULT_DOMAIN, ScoreRequest, ScoreResponse,
@@ -38,7 +38,7 @@ from .scheduler import BatchScheduler, ScheduledBatch
 __all__ = [
     "BatchScheduler", "ScheduledBatch",
     "ScoreCache", "pair_key", "DEFAULT_CAPACITY",
-    "RequestScorer", "SequentialScorer", "ParallelScorer", "score_tables",
+    "SequentialScorer", "ParallelScorer", "score_tables",
     "STREAM_WINDOW",
     "ScoreRequest", "ScoreResponse", "as_request", "DEFAULT_DOMAIN",
     "ModelRegistry", "UnknownDomain",

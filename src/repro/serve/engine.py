@@ -31,13 +31,12 @@ are batched, and the probability vector is NaN-initialized with a
 full-coverage assertion after the scatter loop so a scheduling bug can
 never surface as an uninitialized "probability".
 
-Both engines are :class:`RequestScorer` subclasses: their native unit of
-work is a :class:`~repro.serve.request.ScoreRequest` (``score_request`` for
-one, ``score_stream`` for an iterable), and ``score_pairs`` is a
-compatibility wrapper that builds an anonymous request.  The shared request
-core owns the whole run shape — meter, cache lookup, scheduling, coverage
-assertion, per-run cache stats — and each engine only implements
-:meth:`RequestScorer._score_batches`, the part that actually moves floats.
+Both engines take a :class:`~repro.serve.request.ScoreRequest` as their
+unit of work (``score_request``); ``score_pairs`` wraps one anonymous
+request.  :class:`SequentialScorer` owns the whole run shape — meter,
+cache lookup, scheduling, coverage assertion, per-run cache stats — and
+:class:`ParallelScorer` overrides only
+:meth:`SequentialScorer._score_batches`, the part that moves floats.
 """
 
 from __future__ import annotations
@@ -136,60 +135,76 @@ def _scheduler(pipeline: ERPipeline, **scheduler_kwargs) -> BatchScheduler:
                           pipeline.extractor.max_len, **scheduler_kwargs)
 
 
-class RequestScorer:
-    """Shared request-stream core of the scoring engines.
+class SequentialScorer:
+    """In-process scoring through the length-bucketing scheduler.
 
-    Subclasses provide ``self.scheduler``, ``self.cache``, ``self._digest``
-    plus the :meth:`_score_batches` hook, and inherit the whole run shape:
-    meter lifecycle, cache lookup before batch formation, coverage
-    assertion, per-run (meter-local, race-free) cache statistics, and the
-    ``score_request`` / ``score_stream`` / ``score_pairs`` surface.
+    With ``cache`` set, every request consults the content-addressed
+    :class:`~repro.serve.cache.ScoreCache` before batch formation — only
+    misses are encoded into batches — and newly scored probabilities are
+    admitted back.  The pipeline must carry a ``manifest_digest`` (any
+    pipeline saved or loaded through :class:`ERPipeline` does), because the
+    snapshot identity is half of every cache key.  With ``router`` set (a
+    :class:`repro.risk.RiskRouter`), every response carries per-decision
+    routing annotations and uncertain pairs land on the router's review
+    queue; the decision list is computed before routing and never modified
+    by it.  ``calibrator`` (a :class:`repro.risk.Calibrator` loaded from
+    the snapshot's ``calibration.json``) is what the router bands; ``None``
+    routes raw probabilities.
     """
 
-    #: Engine label stamped into metrics and spans; set by subclasses.
-    engine_name = "abstract"
+    #: Engine label and worker-thread count stamped into metrics and spans.
+    engine_name = "sequential"
+    num_workers = 1
 
-    scheduler: BatchScheduler
-    cache: Optional[ScoreCache]
-    _digest: Optional[str]
-    last_metrics: Optional[ServeMetrics]
-    #: Optional :class:`repro.risk.RiskRouter`; when set, every response
-    #: carries per-decision routing annotations and uncertain pairs land
-    #: on the router's review queue.  The decision list itself is computed
-    #: before routing and never modified by it.
-    router = None
-    #: Optional :class:`repro.risk.Calibrator` loaded from the snapshot
-    #: (``calibration.json``); ``None`` routes raw probabilities.
-    calibrator = None
+    def __init__(self, pipeline: ERPipeline,
+                 scheduler: Optional[BatchScheduler] = None,
+                 cache: Optional[ScoreCache] = None,
+                 router=None, calibrator=None):
+        self.pipeline = pipeline
+        self.scheduler = scheduler or _scheduler(pipeline)
+        self.cache = cache
+        self.router = router
+        self.calibrator = calibrator
+        self._digest = getattr(pipeline, "manifest_digest", None)
+        if cache is not None and self._digest is None:
+            raise ValueError(
+                "a ScoreCache needs the pipeline's snapshot identity; save "
+                "or load the pipeline through ERPipeline so it carries a "
+                "manifest_digest")
+        self.last_metrics: Optional[ServeMetrics] = None
+
+    @classmethod
+    def from_directory(cls, directory: Union[str, Path],
+                       cache: Optional[ScoreCache] = None, router=None,
+                       **scheduler_kwargs) -> "SequentialScorer":
+        pipeline, calibrator = _load_pipeline(directory, router)
+        return cls(pipeline, _scheduler(pipeline, **scheduler_kwargs),
+                   cache=cache, router=router, calibrator=calibrator)
+
+    @property
+    def threshold(self) -> float:
+        """The snapshot's match threshold."""
+        return self.pipeline.threshold
+
+    def close(self) -> None:
+        """Nothing to tear down; present so ``score_tables`` can close
+        either engine."""
+
+    def __enter__(self) -> "SequentialScorer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def snapshot_digest(self) -> Optional[str]:
         """Manifest digest of the snapshot this engine scores with."""
         return self._digest
 
-    def _meter_workers(self) -> int:
-        return 1
-
-    def _score_batches(self, encoded: Sequence[Sequence[int]],
-                       positions: Optional[np.ndarray],
-                       keys: List[str], probabilities: np.ndarray,
-                       meter: ThroughputMeter) -> None:
-        """Score every scheduled batch into ``probabilities``."""
-        raise NotImplementedError
-
-    def _admit_scored(self, batch, probs: np.ndarray, keys: List[str],
-                      meter: ThroughputMeter) -> None:
-        """Cache one batch's scores, attributing evictions to this run."""
-        if self.cache is not None:
-            evicted = self.cache.put_many(
-                self._digest,
-                [keys[i] for i in batch.row_positions.tolist()], probs)
-            meter.record_evictions(evicted)
-
     def score_request(self, request: ScoreRequest) -> ScoreResponse:
         """Score one request; decisions come back in request order."""
         meter = ThroughputMeter(self.engine_name,
-                                num_workers=self._meter_workers())
+                                num_workers=self.num_workers)
         pairs = request.pairs
         if not pairs:  # zero work: never touch (or start) any worker
             self.last_metrics = meter.finalize()
@@ -235,69 +250,9 @@ class RequestScorer:
                              metrics=self.last_metrics,
                              routing=routing)
 
-    def score_stream(self, requests: Iterable[ScoreRequest]
-                     ) -> Iterator[ScoreResponse]:
-        """Score a request stream lazily, one response per request."""
-        for request in requests:
-            yield self.score_request(as_request(request))
-
     def score_pairs(self, pairs: Sequence[EntityPair]) -> List[MatchDecision]:
-        """Compatibility wrapper: one anonymous request, decisions only."""
+        """Score ``pairs`` as one anonymous request; decisions only."""
         return self.score_request(as_request(pairs)).decisions
-
-
-class SequentialScorer(RequestScorer):
-    """In-process scoring through the length-bucketing scheduler.
-
-    With ``cache`` set, every request consults the content-addressed
-    :class:`~repro.serve.cache.ScoreCache` before batch formation — only
-    misses are encoded into batches — and newly scored probabilities are
-    admitted back.  The pipeline must carry a ``manifest_digest`` (any
-    pipeline saved or loaded through :class:`ERPipeline` does), because the
-    snapshot identity is half of every cache key.
-    """
-
-    engine_name = "sequential"
-
-    def __init__(self, pipeline: ERPipeline,
-                 scheduler: Optional[BatchScheduler] = None,
-                 cache: Optional[ScoreCache] = None,
-                 router=None, calibrator=None):
-        self.pipeline = pipeline
-        self.scheduler = scheduler or _scheduler(pipeline)
-        self.cache = cache
-        self.router = router
-        self.calibrator = calibrator
-        self._digest = getattr(pipeline, "manifest_digest", None)
-        if cache is not None and self._digest is None:
-            raise ValueError(
-                "a ScoreCache needs the pipeline's snapshot identity; save "
-                "or load the pipeline through ERPipeline so it carries a "
-                "manifest_digest")
-        self.last_metrics: Optional[ServeMetrics] = None
-
-    @classmethod
-    def from_directory(cls, directory: Union[str, Path],
-                       cache: Optional[ScoreCache] = None, router=None,
-                       **scheduler_kwargs) -> "SequentialScorer":
-        pipeline, calibrator = _load_pipeline(directory, router)
-        return cls(pipeline, _scheduler(pipeline, **scheduler_kwargs),
-                   cache=cache, router=router, calibrator=calibrator)
-
-    @property
-    def threshold(self) -> float:
-        """The snapshot's match threshold."""
-        return self.pipeline.threshold
-
-    def close(self) -> None:
-        """Nothing to tear down; present so ``score_tables`` can close
-        either engine."""
-
-    def __enter__(self) -> "SequentialScorer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _forward(self, batch: ScheduledBatch) -> Tuple[np.ndarray, float]:
         """One batch's match probabilities and its forward-pass seconds."""
@@ -312,10 +267,14 @@ class SequentialScorer(RequestScorer):
                  meter: ThroughputMeter) -> None:
         meter.record_batch(batch.num_covered, seconds)
         batch.scatter(probabilities, probs)
-        self._admit_scored(batch, probs, keys, meter)
+        if self.cache is not None:  # evictions count against this run
+            meter.record_evictions(self.cache.put_many(
+                self._digest,
+                [keys[i] for i in batch.row_positions.tolist()], probs))
 
     def _score_batches(self, encoded, positions, keys, probabilities,
                        meter) -> None:
+        """Score every scheduled batch into ``probabilities``."""
         for batch in self.scheduler.schedule_encoded(encoded, positions):
             probs, seconds = self._forward(batch)
             self._collect(batch, probs, seconds, keys, probabilities, meter)
@@ -400,9 +359,6 @@ class ParallelScorer(SequentialScorer):
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-
-    def _meter_workers(self) -> int:
-        return self.num_workers
 
     def _submit(self, batches: List[ScheduledBatch]) -> List[Future]:
         with self._lock:

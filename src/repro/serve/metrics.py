@@ -10,14 +10,15 @@ for free) and each recorded batch feeds the global registry's
 ``serve.pairs`` / ``serve.batches`` counters and ``serve.batch_seconds``
 histogram, which every trace export embeds.
 
-Concurrency: the serving daemon keeps **many meters live at once** (one
-per in-flight run) and may touch one meter from more than one thread, so a
-meter's mutations are lock-guarded and :meth:`ThroughputMeter.finalize` is
-idempotent.  Per-run cache statistics are accumulated *on the meter* by
-the engine that caused them — never computed by diffing the globally
-shared :class:`~repro.serve.cache.ScoreCache` counters, which under
-overlapping runs silently attributes run B's hits to run A's delta
-(cross-request double counting).
+Concurrency: one meter belongs to one run, and only the thread that runs
+the request touches it — :class:`~repro.serve.ParallelScorer` collects its
+worker threads' batches on the calling thread, and the daemon runs one
+lane job at a time.  A meter's mutations are still lock-guarded and
+:meth:`ThroughputMeter.finalize` is idempotent.  Per-run cache statistics
+are accumulated *on the meter* by the engine that caused them — never
+computed by diffing the shared :class:`~repro.serve.cache.ScoreCache`
+counters, which any other run scoring through the same cache (another
+tenant, another thread) moves as well.
 """
 
 from __future__ import annotations
@@ -56,11 +57,10 @@ class ThroughputMeter:
     also lands in the global metrics registry — there is no second
     ``perf_counter`` bookkeeping path.
 
-    One meter describes **one run**, but many runs overlap inside the
-    daemon and a single run's batches may be recorded from a different
-    thread than the one that finalizes it, so every mutation takes the
-    meter's lock.  Cache hits/misses/evictions are recorded here by the
-    engine as they happen (:meth:`record_cached`, :meth:`record_misses`,
+    One meter describes **one run** and is touched only by the thread that
+    runs it; every mutation still takes the meter's lock.  Cache
+    hits/misses/evictions are recorded here by the engine as they happen
+    (:meth:`record_cached`, :meth:`record_misses`,
     :meth:`record_evictions`) so per-run cache stats stay per-run even
     when several runs share one :class:`~repro.serve.cache.ScoreCache`.
     """

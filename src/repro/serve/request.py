@@ -1,9 +1,7 @@
-"""Abstract request/response types for the serving path.
+"""Request and response types for the serving path.
 
-PRs 2–5 built engines whose public surface was a *pairs list*:
-``score_pairs(pairs) -> decisions`` — fine for batch jobs, wrong shape for
-a long-lived service where many callers interleave.  This module defines
-the request-stream contract both engines now implement:
+A long-lived service interleaves many callers, so the serving stack passes
+requests around, not bare pairs lists:
 
 * :class:`ScoreRequest` — one caller's unit of work: candidate pairs plus
   routing identity (``domain`` selects the tenant snapshot in a
@@ -14,11 +12,9 @@ the request-stream contract both engines now implement:
   the snapshot that actually scored the request (under hot-swap, proof of
   *which* model answered).
 
-Engines expose ``score_request`` / ``score_stream`` built on these;
-``score_pairs`` survives as a thin compatibility wrapper.  The daemon
-hands each admitted :class:`ScoreRequest` to its scoring lane as one
-job, which is why the request — not the pairs list — is the unit the
-serving stack passes around.
+Engines score one request with ``score_request``; ``score_pairs`` wraps
+one anonymous request.  The daemon hands each admitted
+:class:`ScoreRequest` to its scoring lane as one job.
 """
 
 from __future__ import annotations
