@@ -26,14 +26,13 @@ from .scale import (ShardedBlocker, TransitiveClusterer, cluster_quality,
                     generate_scale_corpus, resolve)
 from .serve import (DaemonClient, ModelRegistry, ScoreCache, ScoreRequest,
                     ScoreResponse, score_tables)
-from .telemetry import (PROFILER, REGISTRY, TRACER, TelemetrySession, event,
-                        span)
+from .telemetry import PROFILER, TRACER, TelemetrySession, event, span
 
 __all__ = ["adapt", "no_da", "load_dataset", "score_tables", "ScoreCache",
            "ModelRegistry", "DaemonClient", "ScoreRequest", "ScoreResponse",
            "AdaptationResult", "ChaosConfig", "Events", "GuardRail",
-           "TrainingDiverged", "TelemetrySession", "TRACER", "REGISTRY",
-           "PROFILER", "span", "event",
+           "TrainingDiverged", "TelemetrySession", "TRACER", "PROFILER",
+           "span", "event",
            "ReviewQueue", "RiskBand", "RiskRouter", "calibrate_snapshot",
            "ShardedBlocker", "TransitiveClusterer", "cluster_quality",
            "generate_scale_corpus", "resolve",

@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     risk_report = commands.add_parser(
         "risk-report",
         help="summarize the risk loop: review-queue state, snapshot "
-             "calibration, re-adaptation history, risk.* counters")
+             "calibration, re-adaptation history")
     risk_report.add_argument("--queue", required=True,
                              help="review-queue directory")
     risk_report.add_argument("--snapshot", default=None,
@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_summary = commands.add_parser(
         "trace-summary",
-        help="render an exported trace: span tree, op table, metrics")
+        help="render an exported trace: span tree, op table, per-name "
+             "totals")
     trace_summary.add_argument(
         "run", help="run id (looked up under --trace-dir) or a path to a "
                     ".trace.jsonl file")

@@ -6,13 +6,10 @@ run heal itself, and how often?" is a first-class observable.  The
 trainers attach their counters to
 :class:`repro.train.config.AdaptationResult`.
 
-Counters are migrated onto the telemetry registry: every live increment
-(made through :meth:`Events.bump`, the only increment path the resilience
-layer uses) is mirrored into the process-global
-:data:`repro.telemetry.REGISTRY` as ``resilience.<field>``, so one
-``REGISTRY.snapshot()`` exports the cumulative recovery history of the
-process.  Derived records (``copy()``, ``__add__``, ``__sub__`` deltas)
-never mirror; only actions that actually happened count once.
+The counts live only on the run's own record: a run's recovery history is
+its ``AdaptationResult.events`` (and the ``resilience.rollback`` trace
+events the guard emits), never a process-wide total that another run in
+the same process would also move.
 """
 
 from __future__ import annotations
@@ -34,13 +31,10 @@ class Events:
     lr_halvings: int = 0
 
     def bump(self, field: str, amount: int = 1) -> None:
-        """Count a recovery action: increment + mirror to the telemetry
-        registry (``resilience.<field>``) so the process-wide export path
-        sees it.  All resilience-layer increments go through here."""
+        """Count a recovery action.  All resilience-layer increments go
+        through here, so a misspelt field name fails loudly."""
         current = getattr(self, field)  # AttributeError on a bad field name
         setattr(self, field, current + amount)
-        from ..telemetry import REGISTRY
-        REGISTRY.counter(f"resilience.{field}").inc(amount)
 
     def to_dict(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -49,7 +49,6 @@ from ..data import Entity, EntityPair, ERDataset
 from ..nn import Adam, clip_grad_norm, functional as F
 from ..pipeline import ERPipeline
 from ..resilience import ChaosConfig, GuardRail, TrainingDiverged
-from ..telemetry import REGISTRY
 from ..text import InfiniteSampler
 from ..train.metrics import evaluate
 from .calibration import fit_calibrator, save_calibrator
@@ -167,7 +166,6 @@ def _fine_tune(pipeline: ERPipeline, dataset: ERDataset,
                 optimizer.zero_grad()
                 loss = F.cross_entropy(matcher(extractor(pairs)), labels)
                 loss.backward()
-                REGISTRY.counter("risk.adapt.steps").inc()
                 if not guard.observe(loss.item(), epoch, step, params):
                     continue  # rolled back + LR halved; skip the bad step
                 clip_grad_norm(params, config.clip_norm)
@@ -292,7 +290,6 @@ class ReAdaptationWorker:
         try:
             guard = _fine_tune(candidate, dataset, self.config, self.chaos)
         except TrainingDiverged as error:
-            REGISTRY.counter("risk.adapt.diverged").inc()
             entry = {**base, "status": "diverged",
                      "incidents": error.incidents,
                      "recoveries": error.recoveries}
@@ -317,7 +314,6 @@ class ReAdaptationWorker:
         passed = (candidate_f1 >= gate["f1_floor"]
                   and candidate_cal.ece_after <= gate["ece_ceiling"])
         if not passed:
-            REGISTRY.counter("risk.adapt.rejected").inc()
             entry = {**base, **gate, "status": "rejected"}
             self._archive(candidate, entry, cycle)
             self._record(entry)
@@ -342,7 +338,6 @@ class ReAdaptationWorker:
         if self.registry is not None:
             self.registry.publish(self.domain, str(generation))
         self.queue.ack(last_seq)
-        REGISTRY.counter("risk.adapt.promoted").inc()
         entry = {**base, **gate, "status": "promoted",
                  "generation": str(generation),
                  "candidate_digest": new_digest}

@@ -20,8 +20,8 @@ between serving and training, and its contract is strict:
   destructively.
 * **Corruption is loud.**  A segment that fails its checksum or JSONL
   parse is quarantined to ``*.corrupt`` by the store (never deleted, never
-  skipped silently), counted on the ``risk.queue.corrupt_segments``
-  counter, and reported through :meth:`stats` so ``repro risk-report``
+  skipped silently) and named in :meth:`stats` ``corrupt_segments`` (a
+  quarantined cursor as :data:`CURSOR_NAME`), so ``repro risk-report``
   shows the loss.
 
 All mutation happens under the store's inter-process ``queue`` lock, so a
@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..artifacts import ArtifactCorruptError, ArtifactStore
-from ..telemetry import REGISTRY
 
 #: Segment file name pattern; the index is the segment ordinal.
 SEGMENT_PATTERN = "segment-{:08d}.jsonl"
@@ -73,7 +72,7 @@ class ReviewQueue:
             raise ValueError("segment_max_items must be >= 1")
         self.store = ArtifactStore(Path(directory))
         self.segment_max_items = segment_max_items
-        #: Segments quarantined during this object's reads (names).
+        #: Segments (and the cursor) quarantined during this object's reads.
         self.corrupt_segments: List[str] = []
 
     # -- durable state ------------------------------------------------------ #
@@ -100,9 +99,8 @@ class ReviewQueue:
             return []
         except ArtifactCorruptError:
             # store.read already quarantined to *.corrupt and logged at
-            # WARNING; surface the loss on the metrics registry too.
+            # WARNING; surface the loss in stats() too.
             self.corrupt_segments.append(name)
-            REGISTRY.counter("risk.queue.corrupt_segments").inc()
             return None
 
     def acked_through(self) -> int:
@@ -115,7 +113,7 @@ class ReviewQueue:
         except ArtifactCorruptError:
             # A corrupt cursor re-delivers (at-least-once floor) rather
             # than losing items; the quarantined file keeps the evidence.
-            REGISTRY.counter("risk.queue.corrupt_segments").inc()
+            self.corrupt_segments.append(CURSOR_NAME)
             return -1
         return int(cursor.get("acked_through", -1))
 
@@ -157,7 +155,6 @@ class ReviewQueue:
                 self.store.write(name, lambda tmp, text=payload:
                                  tmp.write_text(text))
                 index += 1
-            REGISTRY.counter("risk.queue.appended").inc(len(assigned))
             return assigned
 
     # -- consumer ------------------------------------------------------------ #
@@ -189,7 +186,6 @@ class ReviewQueue:
                 return
             self.store.write_json(CURSOR_NAME,
                                   {"acked_through": int(through_seq)})
-            REGISTRY.counter("risk.queue.acked").inc(through_seq - current)
 
     # -- introspection ------------------------------------------------------- #
     def __len__(self) -> int:

@@ -3,8 +3,9 @@
 Everything rendered here is read from disk (queue segments + cursor,
 snapshot calibration, worker history), so the report works on a live
 deployment, after a crash, or in a post-mortem — no running process
-required.  In-process ``risk.*`` registry counters are appended when the
-caller happens to share a process with the router.
+required.  Live routing counts belong to the router that made them
+(:meth:`~repro.risk.router.RiskRouter.stats`, the daemon's ``stats``
+reply), not to the report process.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..artifacts import ArtifactStore
-from ..telemetry import REGISTRY
 from .adapt import HISTORY_NAME
 from .calibration import load_calibrator
 from .queue import ReviewQueue
@@ -50,11 +50,6 @@ def risk_summary(queue_dir: Union[str, Path],
         summary["adaptation"] = {"cycles": len(history),
                                  "by_status": by_status,
                                  "recent": history[-5:]}
-    counters = {name: value for name, value in REGISTRY.snapshot().items()
-                if name.startswith("risk.") and isinstance(value,
-                                                           (int, float))}
-    if counters:
-        summary["counters"] = counters
     return summary
 
 
@@ -97,11 +92,6 @@ def format_risk_report(summary: Dict[str, Any]) -> str:
                           f"{entry['f1_floor']:.4f}")
             lines.append(f"  cycle {entry['cycle']}: {entry['status']}"
                          f" ({entry['items']} items){detail}")
-    counters = summary.get("counters")
-    if counters:
-        lines.append("counters")
-        for name, value in sorted(counters.items()):
-            lines.append(f"  {name:<28} {value}")
     return "\n".join(lines)
 
 

@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..data import EntityPair
 from ..pipeline import MatchDecision
-from ..telemetry import REGISTRY
 from .calibration import Calibrator
 from .queue import ReviewQueue
 
@@ -152,14 +151,11 @@ class RiskRouter:
                 outcome = AUTO_MATCH if decision.is_match else AUTO_NON_MATCH
             confidence = max(q, 1.0 - q)
             routed.append(RoutedDecision(outcome, confidence, q))
-            REGISTRY.histogram("risk.confidence").observe(confidence)
         with self._lock:
             for item in routed:
                 self.counts[item.decision] += 1
             if queued and self.queue is not None:
                 self.queue.append(queued)
-        REGISTRY.counter("risk.auto").inc(len(routed) - len(queued))
-        REGISTRY.counter("risk.review").inc(len(queued))
         return routed
 
     def stats(self) -> Dict[str, Any]:

@@ -133,8 +133,6 @@ class _ShardSpiller:
         self.shards.append({"name": name, "base": base, "rows": count,
                             "bytes": size})
         self.total_rows += count
-        telemetry.REGISTRY.counter("scale.block.shards").inc()
-        telemetry.REGISTRY.counter("scale.block.spilled_bytes").inc(size)
         del self._ids[:count]
         del self._values[:count]
         del self._nulls[:count]
@@ -214,8 +212,6 @@ class ShardedBlocker(CandidateStream):
             for chunk in ensure_chunks(left_table, self.chunk_size):
                 spiller.add_chunk(chunk)
             spiller.finish()
-        telemetry.REGISTRY.counter("scale.block.left_rows").inc(
-            spiller.total_rows)
         store.write_json("blocker.json", {
             "config": self.config(), "left_rows": spiller.total_rows,
             "shards": spiller.shards}, indent=2, sort_keys=True)
@@ -239,8 +235,6 @@ class ShardedBlocker(CandidateStream):
                 window = []
         if window:
             yield from self._probe_window(store, spiller, window, stats)
-        telemetry.REGISTRY.counter("scale.block.right_rows").inc(
-            stats["right_rows"])
 
     # -- probing ------------------------------------------------------------ #
     def _load_shard(self, store: ArtifactStore, name: str
@@ -282,8 +276,6 @@ class ShardedBlocker(CandidateStream):
         # emission order.
         order = np.lexsort((gl_all, rr_all))
         stats["candidates"] += int(order.size)
-        telemetry.REGISTRY.counter("scale.block.candidates").inc(
-            int(order.size))
         for position in order:
             yield EntityPair(left_entities[int(gl_all[position])],
                              window[int(rr_all[position])])

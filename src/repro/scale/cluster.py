@@ -256,14 +256,10 @@ class TransitiveClusterer:
             self.add_decision(decision, annotation)
 
     def clusters(self) -> Clusters:
-        """Finish: canonical assignments + fold statistics (and counters)."""
+        """Finish: canonical assignments + fold statistics."""
         with telemetry.span("scale.cluster.finalize",
                             entities=len(self._dsu)):
             assignments = canonical_clusters(self._dsu)
-        registry = telemetry.REGISTRY
-        registry.counter("scale.cluster.entities").inc(len(assignments))
-        registry.counter("scale.cluster.merged_edges").inc(self._merged)
-        registry.counter("scale.cluster.deferred_edges").inc(self._deferred)
         return Clusters(assignments=assignments,
                         merged_edges=self._merged,
                         redundant_edges=self._redundant,

@@ -170,10 +170,9 @@ def generate_scale_corpus(out_dir: Union[str, Path],
         finally:
             left.close()
             right.close()
-    total = left.rows + right.rows
-    telemetry.REGISTRY.counter("scale.synth.records").inc(total)
     return ScaleCorpus(left_path=left.path, right_path=right.path,
-                       spec_key=dataset_spec.key, seed=seed, records=total,
+                       spec_key=dataset_spec.key, seed=seed,
+                       records=left.rows + right.rows,
                        left_rows=left.rows, right_rows=right.rows,
                        clusters=clusters, matched_clusters=matched,
                        families=families, true_matches=true_matches)

@@ -2,9 +2,9 @@
 
 Runs the full harness (six aligners x the 4x2 grid from one fixed seed)
 and writes ``BENCH_scenarios.json``: per-scenario precision/recall/F1 for
-every aligner, corpus + grid skew statistics, each aligner's adaptation
-validation F1, and a telemetry counter snapshot.  Serving the grid's
-streams bit-identically is pinned by ``tests/test_scenarios_serve.py``.
+every aligner, corpus + grid skew statistics, and each aligner's
+adaptation validation F1.  Serving the grid's streams bit-identically is
+pinned by ``tests/test_scenarios_serve.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from ..artifacts import atomic_write
-from ..telemetry import REGISTRY
 from ..train import TrainConfig
 from .grid import DEFAULT_PAIRS
 from .harness import SCENARIO_ALIGNERS, run_harness
@@ -54,9 +53,6 @@ def run_scenarios_bench(target: str = "fodors_zagats", source: str = "books2",
         "grid": stats["grid"],
         "adaptation_valid_f1": dict(report.adaptation_f1),
         "scores": report.scores(),
-        "telemetry": {name: value
-                      for name, value in REGISTRY.snapshot().items()
-                      if name.startswith("scenarios.")},
     }
     if output:
         atomic_write(Path(output), lambda tmp: tmp.write_text(

@@ -16,7 +16,6 @@ from ..data import ERDataset
 from ..datasets import ClusterCorpus, generate_corpus, load_dataset, spec_for
 from ..extractors import FeatureExtractor
 from ..matcher import MlpMatcher
-from ..telemetry import REGISTRY
 from ..train import TrainConfig
 from ..train.metrics import evaluate
 from ..train.regression import GOLDEN_ALIGNERS
@@ -93,9 +92,6 @@ def evaluate_grid(aligner: str, extractor: FeatureExtractor,
             precision=metrics.precision, recall=metrics.recall,
             f1=metrics.f1, num_pairs=cell.dataset.num_pairs,
             num_matches=cell.dataset.num_matches))
-        REGISTRY.counter("scenarios.cells_scored").inc()
-        REGISTRY.counter("scenarios.pairs_scored").inc(
-            cell.dataset.num_pairs)
     return cells
 
 
@@ -130,6 +126,4 @@ def run_harness(target: str = "fodors_zagats", source: str = "books2",
         report.adaptation_f1[aligner] = result.best_valid_f1
         report.cells.extend(evaluate_grid(aligner, result.extractor,
                                           result.matcher, grid))
-        REGISTRY.counter("scenarios.aligners_run").inc()
-    REGISTRY.counter("scenarios.harness_runs").inc()
     return report

@@ -20,12 +20,13 @@ key
   its shard name simply no longer matches.  A corrupt shard is quarantined
   by the store and treated as empty instead of poisoning decisions.
 
-Every lookup feeds the ``serve.cache.{hit,miss}`` counters (evictions and
-scheduler dedup land on ``serve.cache.{evict,dedup}``) in the global
-telemetry registry, and the engines wrap their lookup pass in a
-``serve.cache.lookup`` span, so cache efficiency shows up in traces like
-every other serving number (``python -m perf run`` reports it per layer
-on its ``rescore_cached`` workload).
+Every lookup moves the cache's own ``hits``/``misses`` (and an admission
+its ``evictions``), read back with :meth:`ScoreCache.stats`; each engine
+run also counts the hits, misses and evictions it caused on its own
+:class:`~repro.serve.metrics.ServeMetrics` ``cache`` record, and wraps
+its lookup pass in a ``serve.cache.lookup`` span, so cache efficiency
+shows up in traces like every other serving number (``python -m perf
+run`` reports it per layer on its ``rescore_cached`` workload).
 
 The cache is **thread/task-safe**: one re-entrant lock guards the LRU
 ``OrderedDict``, the per-digest persistent shards and their dirty counts,
@@ -48,7 +49,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..artifacts import ArtifactError, ArtifactStore
-from ..telemetry import REGISTRY
 
 logger = logging.getLogger("repro.serve")
 
@@ -160,16 +160,13 @@ class ScoreCache:
             if value is not None:
                 self._memory.move_to_end(full)
                 self.hits += 1
-                REGISTRY.counter("serve.cache.hit").inc()
                 return value
             persisted = self._shard(snapshot_digest).get(key)
             if persisted is not None:
                 self.hits += 1
-                REGISTRY.counter("serve.cache.hit").inc()
                 self._admit(full, persisted, dirty=False)
                 return persisted
             self.misses += 1
-            REGISTRY.counter("serve.cache.miss").inc()
             return None
 
     def lookup(self, snapshot_digest: str, keys: Iterable[str]) -> np.ndarray:
@@ -222,7 +219,6 @@ class ScoreCache:
                 evicted_key, evicted_value = self._memory.popitem(last=False)
                 evicted += 1
                 self.evictions += 1
-                REGISTRY.counter("serve.cache.evict").inc()
                 if self._store is not None and self._dirty.get(evicted_key[0]):
                     # Keep an unflushed entry reachable through the persistent
                     # shard rather than silently dropping computed work.

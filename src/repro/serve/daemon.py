@@ -27,10 +27,11 @@ module is that shape:
   snapshot, new requests score on the new one, and the content-addressed
   cache invalidates by construction.
 * **Observability.**  Every request runs under a ``serve.request`` span
-  (admission → lane job → response), and its engine run's ``serve.run``
-  and ``serve.batch`` spans nest under it; the ``serve.daemon.*`` registry
-  family counts requests, rejections, failures, hot swaps and SLO misses;
-  ``serve.daemon.request_seconds`` histograms end-to-end latency.
+  (admission → lane job → response) that records its
+  ``latency_seconds``, and its engine run's ``serve.run`` and
+  ``serve.batch`` spans nest under it.  :attr:`ServeDaemon.stats` (the
+  ``stats`` wire reply) counts requests, rejections, failures, responses
+  and SLO misses for this daemon alone; each hot swap logs one INFO line.
 
 Scoring runs on one dedicated executor thread — the numerics stay on the
 deterministic single-threaded BLAS path — while the event loop keeps
@@ -60,14 +61,14 @@ from typing import Any, Dict, Optional, Set, Tuple
 from .. import telemetry
 from ..data import Entity, EntityPair
 from ..pipeline import MatchDecision
-from ..telemetry import REGISTRY, Span
+from ..telemetry import Span
 from .registry import ModelRegistry, UnknownDomain
 from .request import ScoreRequest, ScoreResponse, next_request_id
 
 logger = logging.getLogger("repro.serve")
 
 #: Request-latency SLO; responses slower than this bump
-#: ``serve.daemon.slo_miss``.
+#: ``stats["slo_misses"]``.
 SLO_SECONDS = 2.0
 #: Floor and ceiling of the backpressure retry hint (seconds).
 MIN_RETRY_AFTER = 0.01
@@ -164,7 +165,6 @@ class ServeDaemon:
         limit = self.config.max_queued_pairs
         num_pairs = request.num_pairs
         self.stats["requests"] += 1
-        REGISTRY.counter("serve.daemon.requests").inc()
         if not self._accepting:
             raise RuntimeError("daemon is shutting down")
         if num_pairs > limit:
@@ -173,7 +173,6 @@ class ServeDaemon:
                 f"max_queued_pairs is {limit}")
         if self._pending_pairs + num_pairs > limit:
             self.stats["rejected"] += 1
-            REGISTRY.counter("serve.daemon.rejected").inc()
             raise BackpressureError(self._retry_after(), self._pending_pairs,
                                     limit)
         engine = self.registry.resolve(request.domain)  # may raise
@@ -212,13 +211,10 @@ class ServeDaemon:
         if error is not None:
             span.set(error=str(error))
             self.stats["failed"] += 1
-            REGISTRY.counter("serve.daemon.failed").inc()
             return
         self.stats["responses"] += 1
-        REGISTRY.histogram("serve.daemon.request_seconds").observe(latency)
         if latency > SLO_SECONDS:
             self.stats["slo_misses"] += 1
-            REGISTRY.counter("serve.daemon.slo_miss").inc()
         wall = job.result().metrics.wall_seconds
         if wall > 0:
             rate = num_pairs / wall
@@ -235,10 +231,8 @@ class ServeDaemon:
         already resolved the old engine finish on it.
         """
         loop = asyncio.get_running_loop()
-        digest = await loop.run_in_executor(
+        return await loop.run_in_executor(
             None, self.registry.publish, domain, directory)
-        REGISTRY.counter("serve.daemon.hot_swap").inc()
-        return digest
 
     # -- introspection ------------------------------------------------------- #
     def snapshot_stats(self) -> Dict[str, Any]:

@@ -6,9 +6,8 @@ perf run`` reads ``busy_seconds`` for its forward-time layer metric.
 
 Timekeeping is delegated to :mod:`repro.telemetry`: the meter's wall clock
 is a ``serve.run`` span (so every scoring run shows up in exported traces
-for free) and each recorded batch feeds the global registry's
-``serve.pairs`` / ``serve.batches`` counters and ``serve.batch_seconds``
-histogram, which every trace export embeds.
+for free), and the span carries the run's ``num_pairs`` and
+``num_batches``.
 
 Concurrency: one meter belongs to one run, and only the thread that runs
 the request touches it — :class:`~repro.serve.ParallelScorer` collects its
@@ -27,7 +26,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..telemetry import REGISTRY, span
+from ..telemetry import span
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,7 @@ class ThroughputMeter:
     """Counts a run's batches and busy time, and finalizes to metrics.
 
     The run's wall clock *is* a ``serve.run`` telemetry span (opened at
-    construction, finished by :meth:`finalize`), and every recorded batch
-    also lands in the global metrics registry — there is no second
+    construction, finished by :meth:`finalize`) — there is no second
     ``perf_counter`` bookkeeping path.
 
     One meter describes **one run** and is touched only by the thread that
@@ -84,9 +82,6 @@ class ThroughputMeter:
             self._batches += 1
             self._busy += seconds
             self._pairs += num_pairs
-        REGISTRY.counter("serve.pairs").inc(num_pairs)
-        REGISTRY.counter("serve.batches").inc()
-        REGISTRY.histogram("serve.batch_seconds").observe(seconds)
 
     def record_cached(self, num_pairs: int) -> None:
         """Count pairs served straight from the score cache (no batch)."""
@@ -94,7 +89,6 @@ class ThroughputMeter:
             with self._lock:
                 self._pairs += num_pairs
                 self._cache_hits += num_pairs
-            REGISTRY.counter("serve.pairs").inc(num_pairs)
 
     def record_misses(self, num_pairs: int) -> None:
         """Count this run's cache misses (pairs that needed scoring)."""

@@ -29,7 +29,6 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..telemetry import REGISTRY
 from .cache import ScoreCache
 from .engine import SequentialScorer
 
@@ -91,10 +90,7 @@ class ModelRegistry:
                 raise RuntimeError("ModelRegistry is closed")
             previous = self._engines.get(domain)
             self._engines[domain] = engine
-            REGISTRY.counter("serve.registry.publish").inc()
-            REGISTRY.gauge("serve.registry.tenants").set(len(self._engines))
         if previous is not None:
-            REGISTRY.counter("serve.registry.hot_swap").inc()
             logger.info("hot-swapped domain %r: %s... -> %s...", domain,
                         (previous.snapshot_digest or "")[:12],
                         (engine.snapshot_digest or "")[:12])
@@ -129,7 +125,6 @@ class ModelRegistry:
         with self._lock:
             self._closed = True
             self._engines.clear()
-            REGISTRY.gauge("serve.registry.tenants").set(0)
 
     def __enter__(self) -> "ModelRegistry":
         return self

@@ -30,7 +30,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data import EntityPair
-from ..telemetry import REGISTRY
 from ..text import (ATT, VAL, Vocabulary, bucket_by_length,
                     pad_sequences, tokenize)
 
@@ -189,9 +188,6 @@ class BatchScheduler:
                 groups.append([local])
             else:
                 groups[slot].append(local)
-        duplicates = len(encoded) - len(unique)
-        if duplicates:
-            REGISTRY.counter("serve.cache.dedup").inc(duplicates)
         return unique, groups
 
     def schedule(self, pairs: Sequence[EntityPair]

@@ -1,16 +1,18 @@
 """Load and pretty-print exported trace files (``repro trace-summary``).
 
 A trace file is JSONL: one header record, then span/event records in finish
-order, then optional ``op`` aggregates (autograd profiler) and one optional
-``metrics`` record (registry snapshot).  This module reconstructs the span
-tree from parent ids and renders it with durations, collapsing long runs of
-same-named siblings (hundreds of ``train.step`` spans become one summary
-line) so a summary stays readable at any scale.
+order, then optional ``op`` aggregates (autograd profiler).  This module
+reconstructs the span tree from parent ids and renders it with durations,
+collapsing long runs of same-named siblings (hundreds of ``train.step``
+spans become one summary line) so a summary stays readable at any scale,
+then totals every span name over the whole trace, so the stage table of
+a run reads off the summary however deep the tree collapsed.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -41,11 +43,10 @@ def resolve_trace_path(run: Union[str, Path],
 
 
 def load_trace(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse a trace file into ``{header, spans, ops, metrics}``."""
+    """Parse a trace file into ``{header, spans, ops}``."""
     header: Dict[str, Any] = {}
     spans: List[Dict[str, Any]] = []
     ops: List[Dict[str, Any]] = []
-    metrics: Optional[Dict[str, Any]] = None
     for line_no, line in enumerate(
             Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -62,9 +63,7 @@ def load_trace(path: Union[str, Path]) -> Dict[str, Any]:
             spans.append(record)
         elif kind == "op":
             ops.append(record)
-        elif kind == "metrics":
-            metrics = record.get("metrics", {})
-    return {"header": header, "spans": spans, "ops": ops, "metrics": metrics}
+    return {"header": header, "spans": spans, "ops": ops}
 
 
 def _attr_text(attrs: Dict[str, Any]) -> str:
@@ -139,8 +138,32 @@ def format_ops_table(ops: List[Dict[str, Any]], k: int = 10) -> str:
     return "\n".join(lines)
 
 
+def _format_totals(spans: List[Dict[str, Any]]) -> str:
+    """One line per name over the whole trace: span count and summed
+    duration, largest first; events get a count only."""
+    if not spans:
+        return ""
+    counts: Counter = Counter()
+    seconds: Counter = Counter()
+    events: Counter = Counter()
+    for record in spans:
+        if record.get("type") == "event":
+            events[record["name"]] += 1
+        else:
+            counts[record["name"]] += 1
+            seconds[record["name"]] += record.get("duration", 0.0)
+    lines = ["totals per name (largest first):",
+             f"  {'name':<28s} {'count':>8s} {'total ms':>12s}"]
+    for name in sorted(counts, key=lambda n: (-seconds[n], n)):
+        lines.append(f"  {name:<28s} {counts[name]:>8d} "
+                     f"{seconds[name] * 1e3:>12.1f}")
+    for name in sorted(events, key=lambda n: (-events[n], n)):
+        lines.append(f"  {'· ' + name:<28s} {events[name]:>8d}")
+    return "\n".join(lines)
+
+
 def format_trace(trace: Dict[str, Any], top_k: int = 10) -> str:
-    """Human-readable summary of a loaded trace: tree, ops, metrics."""
+    """Human-readable summary of a loaded trace: tree, ops, totals."""
     header = trace.get("header", {})
     spans = trace.get("spans", [])
     lines = [f"trace {header.get('run', '?')} — {len(spans)} spans, "
@@ -160,18 +183,10 @@ def format_trace(trace: Dict[str, Any], top_k: int = 10) -> str:
     if ops_table:
         lines.append("")
         lines.append(ops_table)
-    metrics = trace.get("metrics")
-    if metrics:
+    totals = _format_totals(spans)
+    if totals:
         lines.append("")
-        lines.append(f"metrics snapshot: {len(metrics)} instruments "
-                     "(counters/gauges/histograms)")
-        for name in sorted(metrics):
-            value = metrics[name]
-            if isinstance(value, dict):
-                value = (f"count={value.get('count')} "
-                         f"mean={value.get('mean', 0.0):.4g}s "
-                         f"max={value.get('max', 0.0):.4g}s")
-            lines.append(f"  {name:<28s} {value}")
+        lines.append(totals)
     return "\n".join(lines)
 
 

@@ -233,8 +233,7 @@ class Tracer:
 
         The file starts with one header record, then every buffered span in
         finish order, then any ``extra_records`` (the CLI passes profiler
-        op aggregates and a metrics snapshot so one file tells the whole
-        story of a run).
+        op aggregates so one file tells the whole story of a run).
         """
         from ..artifacts import ArtifactStore
         records = self.records()

@@ -171,7 +171,6 @@ def train_source_only(extractor: FeatureExtractor, matcher: MlpMatcher,
                             logits = matcher(extractor(pairs))
                             loss = F.cross_entropy(logits, labels)
                             loss.backward()
-                            telemetry.REGISTRY.counter("train.steps").inc()
                             if guard is not None and not guard.observe(
                                     loss.item(), epoch, step, params):
                                 # rolled back + LR halved; skip the bad step
@@ -181,7 +180,6 @@ def train_source_only(extractor: FeatureExtractor, matcher: MlpMatcher,
                             losses.append(loss.item())
                 with telemetry.span("train.phase", phase="evaluate"):
                     tracker.end_epoch(epoch, extractor, _mean(losses), 0.0)
-                telemetry.REGISTRY.counter("train.epochs").inc()
                 if guard is not None:
                     guard.snapshot(epoch)
                 extractor.train()
@@ -260,7 +258,6 @@ def train_joint(extractor: FeatureExtractor, matcher: MlpMatcher,
 
                             optimizer.zero_grad()
                             total.backward()
-                            telemetry.REGISTRY.counter("train.steps").inc()
                             if guard is not None and not guard.observe(
                                     total.item(), epoch, step, params):
                                 # rolled back + LR halved; skip the bad step
@@ -272,7 +269,6 @@ def train_joint(extractor: FeatureExtractor, matcher: MlpMatcher,
                 with telemetry.span("train.phase", phase="evaluate"):
                     tracker.end_epoch(epoch, extractor, _mean(match_losses),
                                       _mean(align_losses))
-                telemetry.REGISTRY.counter("train.epochs").inc()
                 if guard is not None:
                     guard.snapshot(epoch)
                 extractor.train()
@@ -332,7 +328,6 @@ def train_gan(extractor: FeatureExtractor, matcher: MlpMatcher,
                             loss = F.cross_entropy(
                                 matcher(extractor(pairs)), labels)
                             loss.backward()
-                            telemetry.REGISTRY.counter("train.steps").inc()
                             if pre_guard is not None and not pre_guard.observe(
                                     loss.item(), pre_epoch, step, params):
                                 # rolled back + LR halved; skip the bad step
@@ -408,7 +403,6 @@ def train_gan(extractor: FeatureExtractor, matcher: MlpMatcher,
                                     Tensor(teacher_logits.data),
                                     student_logits)
                             gen_loss.backward()
-                            telemetry.REGISTRY.counter("train.steps").inc()
                             if guard is None or guard.observe(
                                     gen_loss.item(), epoch, step,
                                     adapted.parameters()):
@@ -424,7 +418,6 @@ def train_gan(extractor: FeatureExtractor, matcher: MlpMatcher,
                 with telemetry.span("train.phase", phase="evaluate"):
                     tracker.end_epoch(epoch, adapted, _mean(gen_losses),
                                       _mean(disc_losses))
-                telemetry.REGISTRY.counter("train.epochs").inc()
                 if guard is not None:
                     guard.snapshot(epoch)
                 adapted.train()

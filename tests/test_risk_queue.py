@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.artifacts import QUARANTINE_SUFFIX
 from repro.risk import ReviewQueue
 from repro.risk.adapt import corrupt_tail_segment
-from repro.telemetry import REGISTRY
+from repro.risk.queue import CURSOR_NAME
 
 
 def _items(count, start=0):
@@ -98,14 +98,12 @@ class TestReviewQueueCorruption:
         queue.append(_items(6))  # two segments
         name = corrupt_tail_segment(queue)
         assert name is not None
-        before = REGISTRY.counter("risk.queue.corrupt_segments").value
         fresh = ReviewQueue(tmp_path / "q", segment_max_items=4)
         pending = fresh.pending()
         # the intact first segment still replays; the rotted tail is lost
         # loudly, never silently served
         assert [r.seq for r in pending] == [0, 1, 2, 3]
         assert name in fresh.stats()["corrupt_segments"]
-        assert REGISTRY.counter("risk.queue.corrupt_segments").value > before
         quarantined = list((tmp_path / "q").glob(f"*{QUARANTINE_SUFFIX}*"))
         assert quarantined, "evidence file must be preserved"
 
@@ -130,6 +128,8 @@ class TestReviewQueueCorruption:
         # losing items
         assert fresh.acked_through() == -1
         assert [r.seq for r in fresh.pending()] == [0, 1, 2]
+        # ...and names the quarantined cursor where risk-report reads it
+        assert CURSOR_NAME in fresh.stats()["corrupt_segments"]
 
 
 class TestReviewQueueProperties:

@@ -1,4 +1,4 @@
-"""Tier-1 tests for repro.telemetry: spans, registry, profiler, export.
+"""Tier-1 tests for repro.telemetry: spans, profiler, export, summary.
 
 The two load-bearing guarantees:
 
@@ -19,48 +19,16 @@ import pytest
 
 from repro.nn.tensor import PROFILED_OPS, Tensor
 from repro.resilience import Events
-from repro.telemetry import (REGISTRY, AutogradProfiler, MetricsRegistry,
-                             TelemetrySession, Tracer, load_trace,
-                             span_tree_depth, summarize)
+from repro.telemetry import (AutogradProfiler, TelemetrySession, Tracer,
+                             format_trace, load_trace, span_tree_depth,
+                             summarize)
+from repro.telemetry.report import MAX_SIBLINGS
 from repro.train import TrainConfig, train_source_only
 
 from .conftest import TINY_LM
 
 TINY_TRAIN = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-3,
                          iterations_per_epoch=2, seed=0)
-
-
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc()
-        registry.counter("hits").inc(4)
-        registry.gauge("depth").set(3.5)
-        hist = registry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            hist.observe(value)
-        snap = registry.snapshot()
-        assert snap["hits"] == 5
-        assert snap["depth"] == 3.5
-        assert snap["lat"]["count"] == 3
-        assert snap["lat"]["max"] == 5.0
-        assert snap["lat"]["buckets"]["le_0.1"] == 1
-        assert snap["lat"]["buckets"]["le_1"] == 1
-        assert snap["lat"]["buckets"]["overflow"] == 1
-
-    def test_name_means_one_kind(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-        with pytest.raises(TypeError):
-            registry.histogram("x")
-
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("x").inc()
-        registry.reset()
-        assert len(registry) == 0
 
 
 class TestTracer:
@@ -233,23 +201,14 @@ class TestProfilerDoesNotPerturb:
 
 
 class TestEventsRegistryMirror:
-    def test_bump_mirrors_to_registry(self):
-        before = REGISTRY.snapshot().get("resilience.rollbacks", 0)
-        events = Events()
-        events.bump("rollbacks")
-        events.bump("rollbacks", 2)
-        assert events.rollbacks == 3
-        assert REGISTRY.snapshot()["resilience.rollbacks"] == before + 3
-
-    def test_derived_records_do_not_mirror(self):
-        events = Events(rollbacks=5)
-        before = REGISTRY.snapshot().get("resilience.rollbacks", 0)
-        __ = events.copy() + events - events
-        assert REGISTRY.snapshot().get("resilience.rollbacks", 0) == before
-
     def test_bad_field_raises(self):
         with pytest.raises(AttributeError):
             Events().bump("not_a_counter")
+
+
+def _span(span_id, parent, name, start, duration):
+    return {"type": "span", "id": span_id, "parent": parent, "name": name,
+            "start": start, "duration": duration, "attrs": {}}
 
 
 class TestTelemetrySessionAndSummary:
@@ -260,18 +219,56 @@ class TestTelemetrySessionAndSummary:
                 with telemetry.span("middle"):
                     with telemetry.span("inner", step=0):
                         pass
-            REGISTRY.counter("sess.things").inc(7)
         path = s.export()
-        trace = load_trace(path)
-        assert trace["metrics"]["sess.things"] == 7
         text = summarize(path)
         assert "outer" in text and "middle" in text and "inner" in text
-        assert "metrics snapshot" in text
+        totals = text[text.index("totals per name"):].splitlines()
+        assert sorted(line.split()[0] for line in totals[2:]) == [
+            "inner", "middle", "outer"]
+        assert all(line.split()[1] == "1" for line in totals[2:])
 
         from repro.cli import main
         assert main(["trace-summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "trace sess" in out
+
+    def test_sessions_export_only_their_own_run(self, tmp_path):
+        """Counted work in session A leaves no trace in session B's file."""
+        from repro import telemetry
+        from repro.serve import ScoreCache
+        with TelemetrySession("a", trace_dir=tmp_path) as first:
+            Events().bump("rollbacks")
+            assert ScoreCache(capacity=4).get("digest", "key") is None
+        first.export()
+        with TelemetrySession("b", trace_dir=tmp_path) as second:
+            with telemetry.span("only"):
+                pass
+        records = [json.loads(line)
+                   for line in second.export().read_text().splitlines()]
+        assert [r["type"] for r in records] == ["header", "span"]
+        assert records[1]["name"] == "only"
+
+    def test_totals_count_every_span_past_the_collapse(self):
+        """The tree folds siblings past MAX_SIBLINGS; the per-name totals
+        still count and sum every span of a name across all roots."""
+        durations = [0.001 * (i + 1) for i in range(20)] + [0.25] * 3
+        spans = [_span("r1", None, "root", 0.0, 1.0),
+                 _span("r2", None, "root", 2.0, 1.0)]
+        for i, duration in enumerate(durations):
+            spans.append(_span(f"c{i}", "r1" if i < 20 else "r2", "child",
+                               float(i), duration))
+        spans.append({"type": "event", "id": "e", "parent": "r2",
+                      "name": "ping", "start": 2.5, "attrs": {}})
+        text = format_trace({"header": {"run": "t"}, "spans": spans})
+        assert f"{20 - MAX_SIBLINGS + 1} more child spans" in text
+        total_ms = f"{sum(durations) * 1e3:.1f}"
+        assert re.search(rf"^  child +23 +{re.escape(total_ms)}$", text,
+                         re.M), text
+        assert re.search(r"^  root +2 +2000\.0$", text, re.M), text
+        assert re.search(r"^  · ping +1$", text, re.M), text
+        totals = text[text.index("totals per name"):].splitlines()
+        assert [line.split()[0] for line in totals[2:]] == [
+            "root", "child", "·"]
 
     def test_trace_summary_missing_run_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main
@@ -290,12 +287,12 @@ class TestTelemetrySessionAndSummary:
         assert not TRACER.enabled
 
 
-class TestServeBenchTelemetry:
-    """A traced parallel scoring run: the export embeds the registry
-    snapshot, and batches scored on worker threads nest under their run."""
+class TestParallelScoringTelemetry:
+    """A traced parallel scoring run: its ``serve.run`` span counts the
+    pairs, and batches scored on worker threads nest under that run."""
 
-    def test_report_embeds_snapshot_and_nests_worker_spans(self, tmp_path,
-                                                           tiny_lm):
+    def test_run_span_counts_pairs_and_nests_batches(self, tmp_path,
+                                                     tiny_lm):
         from repro.serve import (ParallelScorer, build_bench_pipeline,
                                  synthetic_candidates)
         directory = build_bench_pipeline(tmp_path / "pipe", lm_kwargs=TINY_LM)
@@ -305,8 +302,8 @@ class TestServeBenchTelemetry:
                                 max_batch_pairs=32) as scorer:
                 scorer.score_pairs(synthetic_candidates(160))
         trace = load_trace(session.export())
-        assert trace["metrics"]["serve.pairs"] >= 160
-        assert trace["metrics"]["serve.batch_seconds"]["count"] >= 1
+        runs = [s for s in trace["spans"] if s["name"] == "serve.run"]
+        assert [run["attrs"]["num_pairs"] for run in runs] == [160]
         names = {s["name"] for s in trace["spans"]}
         assert {"serve.run", "serve.batch", "serve.schedule"} <= names
         assert span_tree_depth(trace["spans"]) >= 2
