@@ -19,6 +19,11 @@ Quickstart::
 
 __version__ = "1.0.0"
 
+from . import _memory
+
+# Import time reaches every caller: CLI, daemon, workers and tests.
+_memory.keep_freed_memory()
+
 from .api import (AdaptationResult, ChaosConfig, Events, GuardRail,
                   TrainingDiverged, adapt, load_dataset, no_da)
 from .risk import (ReviewQueue, RiskBand, RiskRouter, calibrate_snapshot)

@@ -254,13 +254,20 @@ class ShardedBlocker(CandidateStream):
             signatures = self.hasher.signatures(
                 [set(tokenize(e.text())) for e in window])
             right_keys = self.hasher.band_keys(signatures)
+            # Sort each band's queries once per window: searchsorted is
+            # several times cheaper on a sorted query column.
+            right_order = np.argsort(right_keys, axis=0, kind="stable")
+            right_sorted = np.take_along_axis(right_keys, right_order,
+                                              axis=0).T.copy()
+            right_order = right_order.T.copy()
             right_sig8 = (signatures & np.uint64(0xFF)).astype(np.uint8)
             owners: List[np.ndarray] = []
             partners: List[np.ndarray] = []
             left_entities: Dict[int, Entity] = {}
             for shard in spiller.shards:
                 data = self._load_shard(store, shard["name"])
-                rr, ll = self._probe_minhash(data, right_keys, right_sig8)
+                rr, ll = self._probe_minhash(data, right_sorted,
+                                             right_order, right_sig8)
                 if rr.size == 0:
                     continue
                 owners.append(rr)
@@ -281,10 +288,15 @@ class ShardedBlocker(CandidateStream):
                              window[int(rr_all[position])])
 
     def _probe_minhash(self, data: Dict[str, np.ndarray],
-                       right_keys: np.ndarray, right_sig8: np.ndarray
+                       right_sorted: np.ndarray, right_order: np.ndarray,
+                       right_sig8: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray]:
         """(right row, local left row) band collisions against one shard,
-        optionally verified against the estimated signature Jaccard."""
+        optionally verified against the estimated signature Jaccard.
+
+        ``right_sorted[band]`` is the window's band keys in ascending order
+        and ``right_order[band]`` the window rows they came from.
+        """
         keys_sorted = data["keys_sorted"]  # (bands, n) each row sorted
         keys_order = data["keys_order"]
         shard_rows = keys_sorted.shape[1]
@@ -292,12 +304,12 @@ class ShardedBlocker(CandidateStream):
         hits_ll: List[np.ndarray] = []
         for band in range(self.hasher.bands):
             table = keys_sorted[band]
-            queries = right_keys[:, band]
+            queries = right_sorted[band]
             lo = np.searchsorted(table, queries, side="left")
             hi = np.searchsorted(table, queries, side="right")
-            rr, pos = _expand_ranges(lo, hi)
-            if rr.size:
-                hits_rr.append(rr)
+            rank, pos = _expand_ranges(lo, hi)
+            if rank.size:
+                hits_rr.append(right_order[band][rank])
                 hits_ll.append(keys_order[band][pos])
         if not hits_rr:
             empty = np.empty(0, dtype=np.int64)
@@ -333,12 +345,12 @@ class ShardedBlocker(CandidateStream):
                      base: int, local_rows: np.ndarray,
                      out: Dict[int, Entity]) -> None:
         """Rebuild Entity objects for the matched rows of one shard."""
-        ids = data["ids"]
-        for local in local_rows.tolist():
-            attributes: Dict[str, Optional[str]] = {}
-            for i, name in enumerate(schema):
-                if bool(data[f"nul_{i}"][local]):
-                    attributes[name] = None
-                else:
-                    attributes[name] = str(data[f"val_{i}"][local])
-            out[base + local] = Entity(str(ids[local]), attributes)
+        ids = data["ids"][local_rows].tolist()
+        values = [data[f"val_{i}"][local_rows].tolist()
+                  for i in range(len(schema))]
+        nulls = [data[f"nul_{i}"][local_rows].tolist()
+                 for i in range(len(schema))]
+        for row, local in enumerate(local_rows.tolist()):
+            out[base + local] = Entity(ids[row], {
+                name: None if null[row] else value[row]
+                for name, value, null in zip(schema, values, nulls)})

@@ -58,6 +58,10 @@ DEFAULT_ROWS = 4
 #: ``(num_perm, occurrences)`` gather exists for one block at a time.
 _BLOCK_ROWS = 512
 
+#: Distinct tokens per column block of :meth:`MinHasher._universal`: one
+#: block's ``(num_perm, columns)`` limb temporaries stay in cache.
+_UNIVERSAL_COLUMNS = 256
+
 _token_memo: Dict[str, int] = {}
 
 
@@ -71,6 +75,18 @@ def token_hash(token: str) -> int:
         if len(_token_memo) < 1 << 20:  # bound the memo on hostile vocab
             _token_memo[token] = cached
     return cached
+
+
+def _mod_prime(values: np.ndarray) -> np.ndarray:
+    """``values mod (2^61 - 1)`` for uint64 ``values``, without division.
+
+    ``2^61 ≡ 1``, so the high 3 bits fold onto the low 61, which leaves a
+    value below ``2 * PRIME``; one conditional subtract finishes.  On
+    unsigned ints ``v - PRIME`` wraps above ``v`` when ``v < PRIME``, so
+    the minimum picks the reduced value.
+    """
+    folded = (values & np.uint64(_PRIME)) + (values >> np.uint64(61))
+    return np.minimum(folded, folded - np.uint64(_PRIME))
 
 
 class MinHasher:
@@ -154,28 +170,34 @@ class MinHasher:
         """``(a * x + b) mod PRIME`` for every permutation, in 32-bit limbs.
 
         uint64 multiplication would overflow, so the product is computed
-        in 32-bit limbs; all arithmetic stays vectorized numpy.  It is not
-        the exact family: ``term_mid << 32`` keeps only the middle limb's
-        low 32 bits, and the three-term sum can wrap at 2^64.  It is still
-        a fixed, deterministic family, pinned against a Python-int
-        reference in ``tests/test_scale_properties.py``; making it exact
-        would change every signature and candidate stream.
+        in 32-bit limbs; all arithmetic stays vectorized numpy, one block
+        of :data:`_UNIVERSAL_COLUMNS` values at a time.  It is not the
+        exact family: ``term_mid << 32`` keeps only the middle limb's low
+        32 bits.  It is still a fixed, deterministic family, pinned against
+        a Python-int reference in ``tests/test_scale_properties.py``;
+        making it exact would change every signature and candidate stream.
         """
+        out = np.empty((self.num_perm, values.size), dtype=np.uint64)
         a = self._a[:, None]
-        x = values[None, :]
+        b = self._b[:, None]
         lo_a = a & np.uint64(0xFFFFFFFF)
         hi_a = a >> np.uint64(32)
-        lo_x = x & np.uint64(0xFFFFFFFF)
-        hi_x = x >> np.uint64(32)
-        # a*x = hi_a*hi_x*2^64 + (hi_a*lo_x + lo_a*hi_x)*2^32 + lo_a*lo_x,
-        # reduced term by term modulo 2^61 - 1 (2^64 ≡ 8, 2^32 exact < p^2).
-        term_hi = (hi_a * hi_x) % _PRIME
-        term_mid = (hi_a * lo_x + lo_a * hi_x) % _PRIME
-        term_lo = (lo_a * lo_x) % _PRIME
-        product = (term_hi * np.uint64(8)
-                   + (term_mid << np.uint64(32)) % _PRIME
-                   + term_lo) % _PRIME
-        return (product + self._b[:, None]) % _PRIME
+        for first in range(0, values.size, _UNIVERSAL_COLUMNS):
+            columns = slice(first, first + _UNIVERSAL_COLUMNS)
+            x = values[None, columns]
+            lo_x = x & np.uint64(0xFFFFFFFF)
+            hi_x = x >> np.uint64(32)
+            # a*x = hi_a*hi_x*2^64 + (hi_a*lo_x + lo_a*hi_x)*2^32
+            # + lo_a*lo_x, reduced term by term modulo 2^61 - 1 (2^64 ≡ 8).
+            # a and x are below 2^61, so hi_a*hi_x < 2^58 is already reduced.
+            term_hi = hi_a * hi_x
+            term_mid = _mod_prime(hi_a * lo_x + lo_a * hi_x)
+            term_lo = _mod_prime(lo_a * lo_x)
+            product = _mod_prime(term_hi * np.uint64(8)
+                                 + _mod_prime(term_mid << np.uint64(32))
+                                 + term_lo)
+            out[:, columns] = _mod_prime(product + b)
+        return out
 
     def token_sets(self, texts: Iterable[str]) -> List[Set[str]]:
         """Tokenize entity texts into the sets :meth:`signatures` expects."""

@@ -99,7 +99,9 @@ class BatchScheduler:
         Hard cap on pairs per batch.
     max_batch_tokens:
         Cap on ``pairs * padded_length`` per batch, so long-sequence buckets
-        get proportionally smaller batches.
+        get proportionally smaller batches.  The default holds one batch's
+        forward working set near 5 MB, which the process keeps resident
+        between batches (:mod:`repro._memory`).
     bucket_rounding:
         Padded lengths are rounded up to multiples of this; 1 buckets by
         exact length, larger values trade a little padding for fewer, fuller
@@ -107,7 +109,7 @@ class BatchScheduler:
     """
 
     def __init__(self, vocab: Vocabulary, max_len: int,
-                 max_batch_pairs: int = 128, max_batch_tokens: int = 8192,
+                 max_batch_pairs: int = 128, max_batch_tokens: int = 4096,
                  bucket_rounding: int = 8):
         if max_len <= 0:
             raise ValueError("max_len must be positive")

@@ -25,7 +25,7 @@ from repro.data import (Entity, iter_entity_table, load_entity_table,
                         save_entity_table)
 from repro.scale import MinHasher, ShardedBlocker, UnionFind, token_hash
 from repro.scale.cluster import canonical_clusters
-from repro.scale.minhash import _BLOCK_ROWS
+from repro.scale.minhash import _BLOCK_ROWS, _UNIVERSAL_COLUMNS
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -162,6 +162,22 @@ class TestSignatureExactness:
                      for s in pool}
         for row, tokens in zip(signatures.tolist(), token_sets):
             assert row == reference[frozenset(tokens)]
+
+    def test_permutations_across_column_blocks_equal_reference(self):
+        # More distinct values than one column block, with the extremes of
+        # the 61-bit range, so every block boundary and limb edge is hit.
+        hasher = MinHasher(seed=1)
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, (1 << 61) - 1,
+                              size=2 * _UNIVERSAL_COLUMNS + 3,
+                              dtype=np.uint64)
+        values[:4] = [0, 1, (1 << 32) - 1, (1 << 61) - 2]
+        permuted = hasher._universal(values)
+        assert permuted.shape == (hasher.num_perm, values.size)
+        for row, (a, b) in zip(permuted.tolist(),
+                               zip(hasher._a.tolist(), hasher._b.tolist())):
+            assert row == [_reference_permutation(a, b, x)
+                           for x in values.tolist()]
 
 
 class TestChunkedReaderIdentity:
